@@ -5,10 +5,9 @@
 // bench_durability.
 //
 // A second scenario measures read scaling under a sustained writer:
-// reader pools of growing size run the mixed workload while one writer
-// thread commits ingests continuously, once with MVCC snapshot reads on
-// (lock-free pinned snapshots) and once with the legacy shared-lock path,
-// and writes the curve to BENCH_mvcc.json at the repo root.
+// reader pools of growing size run the mixed workload (lock-free reads of
+// pinned MVCC snapshots) while one writer thread commits ingests
+// continuously, and writes the curve to BENCH_mvcc.json at the repo root.
 //
 // Scaling is bounded by the host: on a single-core container every thread
 // count serializes onto one CPU and the curve is flat — the JSON records
@@ -179,21 +178,17 @@ double RunWorkload(const Tvdp& tvdp, const std::string& workload,
 
 /// One measured point of the read-scaling scenario: `readers` client
 /// threads issue mixed reads for `window_ms` while one writer commits
-/// ingests continuously. `mvcc` toggles lock-free snapshot reads vs the
-/// legacy shared-lock path on the same engine, so the two curves are
-/// directly comparable.
+/// ingests continuously.
 struct ScalePoint {
   int readers = 0;
-  bool mvcc = false;
   double read_qps = 0;
   double writer_commits_per_sec = 0;
   int64_t worst_commit_ms = 0;
 };
 
 ScalePoint MeasureReadScaling(Tvdp& tvdp, int readers, int window_ms,
-                              bool mvcc, const geo::BoundingBox& region,
+                              const geo::BoundingBox& region,
                               std::atomic<int>* next_image) {
-  tvdp.query().set_snapshot_reads(mvcc);
   std::atomic<bool> stop{false};
   std::atomic<int64_t> reads{0};
   std::vector<std::thread> pool;
@@ -237,19 +232,17 @@ ScalePoint MeasureReadScaling(Tvdp& tvdp, int readers, int window_ms,
   for (std::thread& t : pool) t.join();
   writer.join();
   double secs = SecondsSince(start);
-  tvdp.query().set_snapshot_reads(true);
 
   ScalePoint p;
   p.readers = readers;
-  p.mvcc = mvcc;
   p.read_qps = static_cast<double>(reads.load()) / secs;
   p.writer_commits_per_sec = static_cast<double>(commits.load()) / secs;
   p.worst_commit_ms = worst_ms.load();
   return p;
 }
 
-/// Read-scaling under a sustained writer, with and without MVCC snapshot
-/// reads. Emits BENCH_mvcc.json (override path via TVDP_BENCH_MVCC_OUT).
+/// Read-scaling under a sustained writer. Emits BENCH_mvcc.json (override
+/// path via TVDP_BENCH_MVCC_OUT).
 void RunReadScaling(Tvdp& tvdp, int n_images,
                     const geo::BoundingBox& region) {
   const int window_ms = bench::EnvInt("TVDP_BENCH_MVCC_WINDOW_MS", 1000);
@@ -257,31 +250,27 @@ void RunReadScaling(Tvdp& tvdp, int n_images,
   const std::string out_path = out_env ? out_env : "BENCH_mvcc.json";
 
   std::printf("== read scaling under a sustained writer "
-              "(MVCC snapshot reads vs legacy shared lock) ==\n");
-  std::printf("%-10s %-8s %14s %16s %14s\n", "readers", "mvcc",
-              "read QPS", "writer commits/s", "worst commit");
+              "(MVCC snapshot reads) ==\n");
+  std::printf("%-10s %14s %16s %14s\n", "readers", "read QPS",
+              "writer commits/s", "worst commit");
 
   std::atomic<int> next_image{n_images};
   Json points = Json::MakeArray();
-  double qps_mvcc_1 = 0, qps_mvcc_max = 0;
+  double qps_1 = 0, qps_max = 0;
   for (int readers : {1, 2, 4, 8, 16}) {
-    for (bool mvcc : {false, true}) {
-      ScalePoint p = MeasureReadScaling(tvdp, readers, window_ms, mvcc,
-                                        region, &next_image);
-      std::printf("%-10d %-8s %14.0f %16.1f %11lldms\n", p.readers,
-                  p.mvcc ? "on" : "off", p.read_qps,
-                  p.writer_commits_per_sec,
-                  static_cast<long long>(p.worst_commit_ms));
-      if (mvcc && readers == 1) qps_mvcc_1 = p.read_qps;
-      if (mvcc && readers == 16) qps_mvcc_max = p.read_qps;
-      Json point = Json::MakeObject();
-      point["readers"] = p.readers;
-      point["mvcc"] = p.mvcc;
-      point["read_qps"] = p.read_qps;
-      point["writer_commits_per_sec"] = p.writer_commits_per_sec;
-      point["worst_commit_ms"] = p.worst_commit_ms;
-      points.Append(std::move(point));
-    }
+    ScalePoint p =
+        MeasureReadScaling(tvdp, readers, window_ms, region, &next_image);
+    std::printf("%-10d %14.0f %16.1f %11lldms\n", p.readers, p.read_qps,
+                p.writer_commits_per_sec,
+                static_cast<long long>(p.worst_commit_ms));
+    if (readers == 1) qps_1 = p.read_qps;
+    if (readers == 16) qps_max = p.read_qps;
+    Json point = Json::MakeObject();
+    point["readers"] = p.readers;
+    point["read_qps"] = p.read_qps;
+    point["writer_commits_per_sec"] = p.writer_commits_per_sec;
+    point["worst_commit_ms"] = p.worst_commit_ms;
+    points.Append(std::move(point));
   }
 
   Json out = Json::MakeObject();
@@ -291,12 +280,10 @@ void RunReadScaling(Tvdp& tvdp, int n_images,
   out["hardware_concurrency"] =
       static_cast<int64_t>(std::thread::hardware_concurrency());
   out["points"] = std::move(points);
-  // Collapse detector: QPS at 16 readers relative to 1 reader with MVCC
-  // on. A reader-starved lock would drive this toward zero; snapshot
-  // reads keep it near (or above) 1 even on a saturated host.
-  if (qps_mvcc_1 > 0) {
-    out["mvcc_qps_ratio_16v1"] = qps_mvcc_max / qps_mvcc_1;
-  }
+  // Collapse detector: QPS at 16 readers relative to 1 reader. A
+  // reader-starved lock would drive this toward zero; snapshot reads keep
+  // it near (or above) 1 even on a saturated host.
+  if (qps_1 > 0) out["mvcc_qps_ratio_16v1"] = qps_max / qps_1;
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (!f) {

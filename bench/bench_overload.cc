@@ -22,6 +22,7 @@
 #include "bench_util.h"
 #include "common/context.h"
 #include "common/json.h"
+#include "common/percentile.h"
 #include "common/rng.h"
 #include "geo/geo_point.h"
 #include "ml/dataset.h"
@@ -106,15 +107,6 @@ struct CellResult {
   long other_error = 0;
   long issued = 0;
 };
-
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  double rank = p / 100.0 * static_cast<double>(v.size() - 1);
-  size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, v.size() - 1);
-  return v[lo] + (v[hi] - v[lo]) * (rank - static_cast<double>(lo));
-}
 
 /// Open-loop load generation: each of `threads` clients issues requests on
 /// an absolute schedule at offered_qps/threads. Latency and the deadline

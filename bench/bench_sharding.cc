@@ -38,6 +38,7 @@
 #include "bench_util.h"
 #include "common/context.h"
 #include "common/json.h"
+#include "common/percentile.h"
 #include "common/rng.h"
 #include "geo/bbox.h"
 #include "geo/geo_point.h"
@@ -66,13 +67,6 @@ geo::BoundingBox Region() {
 double ElapsedMs(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
-}
-
-double Percentile(std::vector<double> v, double q) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  size_t idx = static_cast<size_t>(q * static_cast<double>(v.size() - 1));
-  return v[idx];
 }
 
 std::unique_ptr<ShardManager> BuildFleet(int shards, int n_images,
@@ -171,14 +165,14 @@ Json RunScaling(int n_images, int n_queries) {
     double speedup = qps / base_qps;
     double capacity = base_probed / probed_images;
     std::printf("%8d %10.1f %10.3f %10.3f %10.2f %12.0f %9.2fx\n", shards,
-                qps, Percentile(lat, 0.50), Percentile(lat, 0.99), speedup,
+                qps, Percentile(lat, 50), Percentile(lat, 99), speedup,
                 probed_images, capacity);
     Json row = Json::MakeObject();
     row["shards"] = Json(shards);
     row["queries"] = Json(n_queries);
     row["qps"] = Json(qps);
-    row["p50_ms"] = Json(Percentile(lat, 0.50));
-    row["p99_ms"] = Json(Percentile(lat, 0.99));
+    row["p50_ms"] = Json(Percentile(lat, 50));
+    row["p99_ms"] = Json(Percentile(lat, 99));
     row["speedup_vs_1"] = Json(speedup);
     row["probed_images_per_query"] = Json(probed_images);
     row["capacity_scale_vs_1"] = Json(capacity);
@@ -241,8 +235,8 @@ FaultCell RunFaultCell(const std::string& scenario, const std::string& config,
                       static_cast<double>(r->coverage.total_shards);
     }
   }
-  cell.p50_ms = Percentile(lat, 0.50);
-  cell.p99_ms = Percentile(lat, 0.99);
+  cell.p50_ms = Percentile(lat, 50);
+  cell.p99_ms = Percentile(lat, 99);
   cell.avg_coverage = cell.succeeded ? coverage_sum / cell.succeeded : 0;
   return cell;
 }
@@ -311,14 +305,14 @@ Json RunRebalance(int n_images, int n_queries) {
     double complete_rate = static_cast<double>(complete) / n;
     std::printf("%8s %9d %8.1f%% %9.1f%% %9.2f %9.2f\n", phase.c_str(), n,
                 100.0 * success, 100.0 * complete_rate,
-                Percentile(lat, 0.50), Percentile(lat, 0.99));
+                Percentile(lat, 50), Percentile(lat, 99));
     Json row = Json::MakeObject();
     row["phase"] = Json(phase);
     row["queries"] = Json(n);
     row["success_rate"] = Json(success);
     row["coverage_complete_rate"] = Json(complete_rate);
-    row["p50_ms"] = Json(Percentile(lat, 0.50));
-    row["p99_ms"] = Json(Percentile(lat, 0.99));
+    row["p50_ms"] = Json(Percentile(lat, 50));
+    row["p99_ms"] = Json(Percentile(lat, 99));
     rows.Append(std::move(row));
     return success;
   };
@@ -414,15 +408,15 @@ Json RunFailover(int n_images, int n_queries) {
     double success = static_cast<double>(ok) / n;
     double complete_rate = static_cast<double>(complete) / n;
     std::printf("%8s %9d %8.1f%% %9.1f%% %9.2f %9.2f\n", phase.c_str(), n,
-                100.0 * success, 100.0 * complete_rate, Percentile(lat, 0.50),
-                Percentile(lat, 0.99));
+                100.0 * success, 100.0 * complete_rate, Percentile(lat, 50),
+                Percentile(lat, 99));
     Json row = Json::MakeObject();
     row["phase"] = Json(phase);
     row["queries"] = Json(n);
     row["success_rate"] = Json(success);
     row["coverage_complete_rate"] = Json(complete_rate);
-    row["p50_ms"] = Json(Percentile(lat, 0.50));
-    row["p99_ms"] = Json(Percentile(lat, 0.99));
+    row["p50_ms"] = Json(Percentile(lat, 50));
+    row["p99_ms"] = Json(Percentile(lat, 99));
     rows.Append(std::move(row));
   };
 

@@ -101,11 +101,12 @@ int main() {
                   static_cast<Timestamp>(history.size()) *
                       opts.seconds_per_round;
   q.temporal = query::TemporalPredicate{end - 2 * opts.seconds_per_round, end};
-  auto fresh = tvdp.query().Execute(q);
+  query::QueryPlan plan;
+  auto fresh = tvdp.query().Execute(q, nullptr, query::QueryBudget(), &plan);
   if (!fresh.ok()) return 1;
   std::printf("captures of the northern half from the last 30 minutes: %zu "
               "(plan: %s)\n",
-              fresh->size(), tvdp.query().last_plan().c_str());
+              fresh->size(), plan.LegacySummary().c_str());
 
   // Gaps still open -> the next tasking wave.
   auto gaps = acquisition.grid().FindGaps();

@@ -105,9 +105,11 @@ int main() {
   sp.range = geo::BoundingBox::FromCenterRadius({34.051, -118.249}, 1000);
   hybrid.spatial = sp;
   hybrid.categorical = cat;
-  auto hits = tvdp.query().Execute(hybrid);
+  query::QueryPlan plan;
+  auto hits =
+      tvdp.query().Execute(hybrid, nullptr, query::QueryBudget(), &plan);
   std::printf("hybrid             -> %zu hits, plan: %s\n", hits->size(),
-              tvdp.query().last_plan().c_str());
+              plan.LegacySummary().c_str());
 
   // 10. Durable mode: the same facade over a crash-safe WAL + snapshot
   // store — reopening recovers everything committed.

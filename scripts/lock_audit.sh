@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
-# Lock audit: the MVCC refactor made the read path lock-free, and this
-# check keeps it that way. It counts shared_lock acquisitions in the query
-# engine and the read endpoints and fails when a new one appears.
+# Lock audit: every read pins an MVCC snapshot and never takes a lock, and
+# this check keeps it that way. It counts shared_lock acquisitions in the
+# query engine and the read endpoints and fails when a new one appears.
 #
 # Budgets:
-#   src/query/            1   QueryEngine::WithReaderLock — the single
-#                             legacy-mode funnel (engine.h)
+#   src/query/            0   engine reads pin an MVCC snapshot
 #   src/platform/tvdp.cc  0   facade reads pin an MVCC snapshot
 #   src/platform/export.cc 0  exports pin an MVCC snapshot
 #   src/platform/api.cc   2   keys_mutex_ (API-key registry, not a read
@@ -29,7 +28,7 @@ check() {
   fi
 }
 
-check "src/query/" 1 src/query/
+check "src/query/" 0 src/query/
 check "src/platform/tvdp.cc" 0 src/platform/tvdp.cc
 check "src/platform/export.cc" 0 src/platform/export.cc
 check "src/platform/api.cc" 2 src/platform/api.cc

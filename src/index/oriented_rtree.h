@@ -37,8 +37,9 @@ struct DirectionRange {
 ///  * PointQuery(p)                 — FOVs that actually see point p
 ///
 /// Thread safety: concurrent queries are safe against each other; Insert
-/// requires external exclusion against queries (the QueryEngine provides
-/// it through its reader-writer lock). Exact sector refinement of large
+/// requires external exclusion against queries (the QueryEngine inserts
+/// only into its live tree; queries read frozen clones in published
+/// snapshots). Exact sector refinement of large
 /// candidate sets fans out across the optional pool.
 class OrientedRTree {
  public:

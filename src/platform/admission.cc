@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "common/percentile.h"
 #include "common/retry.h"
 #include "common/strings.h"
 
@@ -15,16 +16,6 @@ constexpr size_t kLatencyRingCap = 4096;
 /// cv wait slice: cancellation tokens are flipped by foreign threads that
 /// never touch our condition variable, so queued waiters poll in slices.
 constexpr auto kWaitSlice = std::chrono::milliseconds(5);
-
-double Percentile(std::vector<double> sorted_samples, double pct) {
-  if (sorted_samples.empty()) return 0;
-  std::sort(sorted_samples.begin(), sorted_samples.end());
-  double rank = pct / 100.0 * static_cast<double>(sorted_samples.size() - 1);
-  size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, sorted_samples.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return sorted_samples[lo] * (1 - frac) + sorted_samples[hi] * frac;
-}
 
 }  // namespace
 

@@ -20,15 +20,15 @@ namespace tvdp::platform {
 /// CRLF per RFC 4180. Fields containing commas/quotes/newlines are quoted
 /// and escaped, and fields that a spreadsheet would evaluate as a formula
 /// (leading `=`, `+`, `-` or `@`) are neutralized — see CsvEscape. Fails
-/// with NotFound if any id is missing. Takes the platform's reader lock,
-/// so it is safe to call concurrently with ingest.
+/// with NotFound if any id is missing. Reads one pinned MVCC snapshot, so
+/// it is safe to call concurrently with ingest.
 Result<std::string> ExportMetadataCsv(const Tvdp& tvdp,
                                       const std::vector<int64_t>& image_ids);
 
 /// Exports the camera locations of `image_ids` as a GeoJSON
 /// FeatureCollection of Point features, each carrying id/uri/captured_at
 /// properties — ready for any web map. Fails with NotFound on missing ids.
-/// Takes the platform's reader lock.
+/// Reads one pinned MVCC snapshot.
 Result<Json> ExportGeoJson(const Tvdp& tvdp,
                            const std::vector<int64_t>& image_ids);
 

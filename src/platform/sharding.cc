@@ -9,6 +9,7 @@
 
 #include "common/file.h"
 #include "common/logging.h"
+#include "common/percentile.h"
 #include "query/planner.h"
 #include "storage/wal.h"
 
@@ -34,15 +35,6 @@ geo::BoundingBox ExpandByMeters(geo::BoundingBox box, double radius_m) {
   box.min_lon -= dlon;
   box.max_lon += dlon;
   return box;
-}
-
-double Percentile(std::vector<double> v, double q) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  const size_t idx = std::min(
-      v.size() - 1,
-      static_cast<size_t>(std::ceil(q * static_cast<double>(v.size())) - 1));
-  return v[idx];
 }
 
 Json BBoxJson(const geo::BoundingBox& b) {
@@ -267,19 +259,13 @@ Result<std::unique_ptr<ShardManager>> ShardManager::Create(
   }
   mgr->RebuildReverseMapsLocked();
   bool any_pending = false;
-  bool any_rebalance = false;
   for (const Slot& slot : mgr->slots_) {
     if (!slot.pending_broadcasts.empty()) any_pending = true;
-    for (const auto& [bid, p] : slot.pending_broadcasts) {
-      if (p.op == "rebalance_cells") any_rebalance = true;
-    }
   }
-  if ((mgr->options_.atomic_broadcasts && any_pending) || any_rebalance) {
+  if (any_pending) {
     // Startup reconciliation: resolve the broadcasts and migrations a
     // previous process's crash left pending before this fleet starts
-    // serving. Migration intents reconcile regardless of the classification
-    // broadcast mode — rebalancing is always run under the durable
-    // protocol.
+    // serving.
     WriteTicket ticket(mgr.get());
     std::lock_guard<std::mutex> lock(mgr->broadcast_mutex_);
     Result<Json> report = mgr->ReconcileLocked();
@@ -485,33 +471,6 @@ Result<int64_t> ShardManager::RegisterClassification(
   // the fence's Ship() drain and the epoch rise — a write acked to the
   // caller that the promoted primary never sees.
   WriteTicket ticket(this);
-  if (!options_.atomic_broadcasts) {
-    // Legacy fire-and-forget broadcast, kept only so the regression
-    // harness can demonstrate the hazard this PR fixes: a mid-loop failure
-    // leaves the classification registered on a prefix of shards, and the
-    // per-shard ids are never compared.
-    std::vector<std::shared_ptr<Tvdp>> live;
-    {
-      std::lock_guard<std::mutex> lock(slots_mutex_);
-      for (size_t i = 0; i < slots_.size(); ++i) {
-        if (slots_[i].killed || !slots_[i].tvdp) {
-          return Status::Unavailable("shard " + std::to_string(i) +
-                                     " is down; classification broadcast "
-                                     "requires the full fleet");
-        }
-        live.push_back(slots_[i].tvdp);
-      }
-    }
-    int64_t first_id = -1;
-    for (size_t i = 0; i < live.size(); ++i) {
-      TVDP_ASSIGN_OR_RETURN(int64_t id, live[i]->RegisterClassification(
-                                            name, labels, description));
-      if (i == 0) first_id = id;
-      ShipShard(static_cast<int>(i));
-    }
-    return first_id;
-  }
-
   std::lock_guard<std::mutex> block(broadcast_mutex_);
   const int n = shard_count();
   std::vector<std::shared_ptr<Tvdp>> live(static_cast<size_t>(n));
@@ -2229,24 +2188,10 @@ Status ShardManager::RecoverShardInner(int shard) {
     TVDP_RETURN_IF_ERROR(
         AttachReplicas(shard, revived_primary, primary_index, reps));
   }
-  bool any_rebalance = false;
-  {
-    std::lock_guard<std::mutex> lock(slots_mutex_);
-    for (const Slot& s : slots_) {
-      if (s.migrating) any_rebalance = true;
-      for (const auto& [bid, p] : s.pending_broadcasts) {
-        if (p.op == "rebalance_cells") any_rebalance = true;
-      }
-    }
-  }
-  if (!options_.atomic_broadcasts && !any_rebalance) return Status::OK();
   // Resolve whatever a crash left pending now that this shard is back,
   // then surface (without undoing the recovery) any remaining divergence.
-  // In legacy (non-atomic) broadcast mode only migration state is
-  // reconciled and divergence is left unreported, as before.
   TVDP_ASSIGN_OR_RETURN(Json report, ReconcileLocked());
   (void)report;
-  if (!options_.atomic_broadcasts) return Status::OK();
   return VerifyConsistencyLocked(nullptr);
 }
 
@@ -2573,7 +2518,6 @@ Json ShardManager::StatsJson() const {
   Json out = Json::MakeObject();
   out["shard_count"] = Json(shard_count());
   out["breakers"] = Json(options_.breakers);
-  out["atomic_broadcasts"] = Json(options_.atomic_broadcasts);
   out["replication_factor"] =
       Json(options_.replication.replication_factor);
   out["sync"] = Json(options_.replication.sync == SyncLevel::kSync
@@ -2597,8 +2541,8 @@ Json ShardManager::StatsJson() const {
       s["durable"] = Json(!slot.base_path.empty());
       s["probes"] = Json(slot.probes);
       s["failures"] = Json(slot.failures);
-      s["probe_p50_ms"] = Json(Percentile(slot.latencies, 0.50));
-      s["probe_p99_ms"] = Json(Percentile(slot.latencies, 0.99));
+      s["probe_p50_ms"] = Json(Percentile(slot.latencies, 50));
+      s["probe_p99_ms"] = Json(Percentile(slot.latencies, 99));
       s["replayed_records"] = Json(slot.replayed);
       s["pending_broadcasts"] = Json(slot.pending_broadcasts.size());
       s["region"] = BBoxJson(ExpandedRegionLocked(i));

@@ -80,16 +80,6 @@ struct ShardManagerOptions {
   bool breakers = true;
   edge::HealthOptions breaker;
 
-  /// Two-phase intent/commit protocol for fleet-wide writes
-  /// (RegisterClassification): an intent is durably logged on every shard
-  /// before anything is applied, a commit marker after every shard
-  /// acknowledged, and recovery reconciles whatever a crash left pending.
-  /// `false` restores the PR 6 fire-and-forget broadcast — a mid-loop
-  /// failure leaves the classification registered on a prefix of shards
-  /// with unchecked ids; kept only so the regression harness can
-  /// demonstrate that hazard.
-  bool atomic_broadcasts = true;
-
   /// Per-shard replication: total copies, sync level, replica-read policy
   /// (DESIGN.md "Replication, failover, and fencing"). The default factor
   /// of 1 is replication off — byte-identical to the pre-replication

@@ -14,33 +14,6 @@ using storage::Row;
 using storage::Value;
 namespace tables = storage::tables;
 
-namespace {
-
-/// Publishes a new MVCC snapshot when the guarded mutation scope ends —
-/// success and error paths alike, so the published version never diverges
-/// from the live catalog (partial writes were already observable under the
-/// old locking scheme; now they become observable at publish). Declare it
-/// AFTER the writer lock: destructors run in reverse order, so the publish
-/// happens while the lock is still held.
-class CommitScope {
- public:
-  explicit CommitScope(query::QueryEngine* engine,
-                       const query::ClassMap* class_map = nullptr)
-      : engine_(engine), class_map_(class_map) {}
-  CommitScope(const CommitScope&) = delete;
-  CommitScope& operator=(const CommitScope&) = delete;
-  ~CommitScope() {
-    if (class_map_) engine_->SetClassMapLocked(*class_map_);
-    engine_->PublishLocked();
-  }
-
- private:
-  query::QueryEngine* engine_;
-  const query::ClassMap* class_map_;
-};
-
-}  // namespace
-
 Tvdp::Tvdp(Tvdp&& other) noexcept
     : catalog_(std::move(other.catalog_)),
       durable_(std::move(other.durable_)),
@@ -69,8 +42,7 @@ Result<Tvdp> Tvdp::Create() {
   Tvdp t;
   TVDP_ASSIGN_OR_RETURN(storage::Catalog catalog, storage::MakeTvdpCatalog());
   t.catalog_ = std::make_unique<storage::Catalog>(std::move(catalog));
-  t.engine_ = std::make_unique<query::QueryEngine>(t.catalog_.get());
-  t.engine_->EnableManagedSnapshots();
+  t.engine_.reset(new query::QueryEngine(t.catalog_.get()));
   return t;
 }
 
@@ -84,8 +56,7 @@ Result<Tvdp> Tvdp::Open(const std::string& base_path,
     TVDP_ASSIGN_OR_RETURN(storage::Catalog fresh, storage::MakeTvdpCatalog());
     TVDP_RETURN_IF_ERROR(t.durable_->Bootstrap(std::move(fresh)));
   }
-  t.engine_ = std::make_unique<query::QueryEngine>(&t.durable_->catalog());
-  t.engine_->EnableManagedSnapshots();
+  t.engine_.reset(new query::QueryEngine(&t.durable_->catalog()));
   TVDP_RETURN_IF_ERROR(t.RebuildFromCatalog());
   return t;
 }
@@ -96,7 +67,6 @@ Status Tvdp::RebuildFromCatalog() {
 
   // Query indexes: every image, then every stored feature vector. The
   // rebuilt indexes, columnar columns and registry publish as one version.
-  std::unique_lock lock(engine_->mutex());
   CommitScope commit(engine_.get(), &classifications_);
   return ReindexAllLocked();
 }
@@ -218,7 +188,6 @@ Result<int64_t> Tvdp::IngestImage(const ImageRecord& record) {
   // one snapshot version — a concurrent query never sees a half-ingested
   // image. The durable catalog's own lock nests inside (engine -> durable;
   // never the reverse).
-  std::unique_lock lock(engine_->mutex());
   CommitScope commit(engine_.get());
   Row image_row{
       Value(record.uri),
@@ -276,7 +245,6 @@ Result<int64_t> Tvdp::RegisterClassification(
   if (name.empty()) return Status::InvalidArgument("empty task name");
   if (labels.empty()) return Status::InvalidArgument("no labels given");
 
-  std::unique_lock lock(engine_->mutex());
   CommitScope commit(engine_.get(), &classifications_);
   auto it = classifications_.find(name);
   if (it == classifications_.end()) {
@@ -364,7 +332,6 @@ double Tvdp::MaxFovRadiusM() const {
 
 Result<int64_t> Tvdp::AnnotateImage(int64_t image_id,
                                     const AnnotationRecord& annotation) {
-  std::unique_lock lock(engine_->mutex());
   CommitScope commit(engine_.get());
   auto cls_it = classifications_.find(annotation.classification);
   if (cls_it == classifications_.end()) {
@@ -400,7 +367,6 @@ Result<int64_t> Tvdp::AnnotateImage(int64_t image_id,
 Status Tvdp::StoreFeature(int64_t image_id, const std::string& kind,
                           const ml::FeatureVector& feature) {
   if (feature.empty()) return Status::InvalidArgument("empty feature");
-  std::unique_lock lock(engine_->mutex());
   CommitScope commit(engine_.get());
   TVDP_RETURN_IF_ERROR(
       InsertRow(tables::kImageVisualFeatures,
@@ -668,7 +634,6 @@ Status Tvdp::RemoveImages(const std::vector<int64_t>& ids) {
   if (ids.empty()) return Status::OK();
   // Writer: rows disappear and the rebuilt indexes appear as one published
   // version — a concurrent query sees either all of the images or none.
-  std::unique_lock lock(engine_->mutex());
   CommitScope commit(engine_.get());
   std::unordered_set<int64_t> doomed_images(ids.begin(), ids.end());
   const char* dependents[] = {
@@ -711,7 +676,6 @@ Result<size_t> Tvdp::ApplyReplicated(
     const std::vector<storage::WalRecord>& records) {
   // Writer: the whole batch publishes as one snapshot version, mirroring
   // how the primary's writer lock made each source mutation visible.
-  std::unique_lock lock(engine_->mutex());
   CommitScope commit(engine_.get(), &classifications_);
   size_t applied = 0;
   std::vector<int64_t> new_images;

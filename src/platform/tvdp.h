@@ -6,8 +6,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -64,8 +64,8 @@ struct AnnotationRecord {
 /// DESIGN.md "MVCC snapshots and copy-on-write storage"); a read pins the
 /// current snapshot with two atomic ops and never touches `mutex()`, so
 /// readers can neither block nor starve a writer. Ingest, annotation
-/// write-back, feature storage and checkpointing take the writer side of
-/// the platform-wide lock, so a write is observed atomically — catalog
+/// write-back, feature storage and checkpointing hold the platform-wide
+/// writer mutex, so a write is observed atomically — catalog
 /// rows, index entries and the published snapshot never tear apart. WAL
 /// commit ordering matches publish ordering (writers are fully
 /// serialized). See DESIGN.md "Concurrency model".
@@ -143,7 +143,7 @@ class Tvdp {
   query::QueryEngine& query() { return *engine_; }
   const query::QueryEngine& query() const { return *engine_; }
 
-  /// Evaluates a hybrid query under the platform-wide shared lock,
+  /// Evaluates a hybrid query over the latest published snapshot,
   /// honoring an optional request context (deadline/cancellation) and a
   /// query budget (degraded plans) — the access-layer entry point used by
   /// the API service. When `plan_out` is non-null it receives the executed
@@ -164,11 +164,10 @@ class Tvdp {
   /// commit}) — surfaced per shard/engine in `platform_stats`.
   Json MvccStats() const;
 
-  /// The platform-wide writer lock (owned by the query engine so facade
-  /// and engine callers synchronize on the same object). Every facade
-  /// mutation takes it exclusively; reads pin an MVCC snapshot instead of
-  /// locking (legacy standalone engines still take it shared).
-  std::shared_mutex& mutex() const { return engine_->mutex(); }
+  /// The platform-wide writer mutex (owned by the query engine). Every
+  /// facade mutation holds it; reads pin an MVCC snapshot and never take
+  /// it.
+  std::mutex& mutex() const { return engine_->mutex(); }
 
   storage::Catalog& catalog() {
     return durable_ ? durable_->catalog() : *catalog_;
@@ -285,6 +284,8 @@ class Tvdp {
   Status Checkpoint();
 
  private:
+  using CommitScope = query::QueryEngine::CommitScope;
+
   Tvdp() = default;
 
   /// Routes a row insert through the WAL when durable, else straight to the

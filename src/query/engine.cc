@@ -31,27 +31,9 @@ size_t EstimateIndexBytes(size_t entries) { return entries * 64 + 64; }
 QueryEngine::QueryEngine(storage::Catalog* catalog, ThreadPool* pool)
     : catalog_(catalog),
       pool_(pool ? pool : &ThreadPool::Shared()),
-      fovs_(index::OrientedRTree::Options{16, pool_}) {}
-
-AccessPaths QueryEngine::PathsLocked() const {
-  AccessPaths paths;
-  paths.catalog = catalog_;
-  paths.pool = pool_;
-  paths.points = &points_;
-  paths.fovs = &fovs_;
-  paths.temporal = &temporal_;
-  paths.keywords = &keywords_;
-  paths.lsh = &lsh_;
-  paths.visual_rtree = &visual_rtree_;
-  // The live columnar builders are only guaranteed to mirror the tables
-  // when every mutation flows through the managed facade; a legacy engine
-  // over an externally mutated catalog must not serve stale columns.
-  if (managed_) {
-    paths.col_images = &col_images_;
-    paths.col_annotations = &col_annotations_;
-  }
-  paths.indexed_images = indexed_images();
-  return paths;
+      fovs_(index::OrientedRTree::Options{16, pool_}) {
+  // Version 1: every read pins a snapshot, so one exists from the start.
+  PublishLocked();
 }
 
 AccessPaths QueryEngine::SnapshotPaths(const EngineSnapshot& snap) const {
@@ -70,13 +52,6 @@ AccessPaths QueryEngine::SnapshotPaths(const EngineSnapshot& snap) const {
   return paths;
 }
 
-void QueryEngine::EnableManagedSnapshots() {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  managed_ = true;
-  all_dirty_ = true;
-  PublishLocked();
-}
-
 void QueryEngine::MarkTableDirtyLocked(const std::string& table) {
   dirty_tables_.insert(table);
 }
@@ -93,7 +68,6 @@ void QueryEngine::SetClassMapLocked(const ClassMap& m) {
 }
 
 void QueryEngine::PublishLocked() {
-  if (!managed_) return;
   std::shared_ptr<const EngineSnapshot> prev = snapshot_.load();
   bool dirty = all_dirty_ || !prev || !dirty_tables_.empty() ||
                !dirty_feature_kinds_.empty() || dirty_points_ || dirty_fovs_ ||
@@ -180,7 +154,7 @@ void QueryEngine::PublishLocked() {
   }
 
   snap->classifications = class_map_;
-  snap->indexed_images = indexed_images();
+  snap->indexed_images = indexed_images_;
   snap->version = next_version_++;
   snap->bytes_copied = copied;
   snap->bytes_shared = shared;
@@ -202,27 +176,16 @@ void QueryEngine::PublishLocked() {
 Json QueryEngine::MvccStatsJson() const {
   std::shared_ptr<const EngineSnapshot> snap = snapshot_.load();
   Json out = Json::MakeObject();
-  out["enabled"] = managed_;
-  out["snapshot_reads"] = snapshot_reads();
-  out["version"] = snap ? static_cast<int64_t>(snap->version) : int64_t{0};
+  out["version"] = static_cast<int64_t>(snap->version);
   out["pinned_snapshots"] = pinned_readers_.load(std::memory_order_relaxed);
   // Everything alive beyond the latest version is retired and awaiting
   // reclamation by the pinned readers that still reference it. `snap`
   // itself is our own transient reference, not a retired version.
   int64_t live = live_snapshots_->load(std::memory_order_relaxed);
   out["retired_versions"] = std::max<int64_t>(0, live - 1);
-  out["bytes_copied_last_commit"] =
-      snap ? static_cast<int64_t>(snap->bytes_copied) : int64_t{0};
-  out["bytes_shared_last_commit"] =
-      snap ? static_cast<int64_t>(snap->bytes_shared) : int64_t{0};
+  out["bytes_copied_last_commit"] = static_cast<int64_t>(snap->bytes_copied);
+  out["bytes_shared_last_commit"] = static_cast<int64_t>(snap->bytes_shared);
   return out;
-}
-
-Status QueryEngine::IndexImage(RowId image_id) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  Status s = IndexImageLocked(image_id);
-  if (s.ok()) PublishLocked();
-  return s;
 }
 
 Status QueryEngine::IndexImageLocked(RowId image_id) {
@@ -283,16 +246,8 @@ Status QueryEngine::IndexImageLocked(RowId image_id) {
     }
   }
   col_images_.Append(image_id, lat, lon, captured);
-  indexed_images_.fetch_add(1, std::memory_order_relaxed);
+  ++indexed_images_;
   return Status::OK();
-}
-
-Status QueryEngine::IndexFeature(RowId image_id, const std::string& kind,
-                                 const ml::FeatureVector& feature) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  Status s = IndexFeatureLocked(image_id, kind, feature);
-  if (s.ok()) PublishLocked();
-  return s;
 }
 
 Status QueryEngine::IndexFeatureLocked(RowId image_id, const std::string& kind,
@@ -331,134 +286,67 @@ void QueryEngine::ResetIndexesLocked() {
   visual_rtree_.clear();
   col_images_.Clear();
   col_annotations_.Clear();
-  indexed_images_.store(0, std::memory_order_relaxed);
+  indexed_images_ = 0;
   all_dirty_ = true;
-}
-
-std::string QueryEngine::last_plan() const {
-  std::lock_guard<std::mutex> lock(plan_mutex_);
-  return last_plan_;
 }
 
 Result<std::vector<QueryHit>> QueryEngine::SpatialRange(
     const geo::BoundingBox& box, const RequestContext* ctx) const {
-  if (SnapshotRef snap = PinIfSnapshotReads()) {
-    return EvalSpatialRange(SnapshotPaths(*snap), box, ctx);
-  }
-  return WithReaderLock([&] { return SpatialRangeLocked(box, ctx); });
-}
-
-Result<std::vector<QueryHit>> QueryEngine::SpatialRangeLocked(
-    const geo::BoundingBox& box, const RequestContext* ctx) const {
-  return EvalSpatialRange(PathsLocked(), box, ctx);
+  SnapshotRef snap = PinSnapshot();
+  return EvalSpatialRange(SnapshotPaths(*snap), box, ctx);
 }
 
 Result<std::vector<QueryHit>> QueryEngine::SpatialKnn(
     const geo::GeoPoint& p, int k, const RequestContext* ctx) const {
-  if (SnapshotRef snap = PinIfSnapshotReads()) {
-    return EvalSpatialKnn(SnapshotPaths(*snap), p, k, ctx);
-  }
-  return WithReaderLock([&] { return SpatialKnnLocked(p, k, ctx); });
-}
-
-Result<std::vector<QueryHit>> QueryEngine::SpatialKnnLocked(
-    const geo::GeoPoint& p, int k, const RequestContext* ctx) const {
-  return EvalSpatialKnn(PathsLocked(), p, k, ctx);
+  SnapshotRef snap = PinSnapshot();
+  return EvalSpatialKnn(SnapshotPaths(*snap), p, k, ctx);
 }
 
 Result<std::vector<QueryHit>> QueryEngine::VisibleAt(
     const geo::GeoPoint& p, const RequestContext* ctx) const {
-  if (SnapshotRef snap = PinIfSnapshotReads()) {
-    return EvalVisibleAt(SnapshotPaths(*snap), p, ctx);
-  }
-  return WithReaderLock([&] { return VisibleAtLocked(p, ctx); });
-}
-
-Result<std::vector<QueryHit>> QueryEngine::VisibleAtLocked(
-    const geo::GeoPoint& p, const RequestContext* ctx) const {
-  return EvalVisibleAt(PathsLocked(), p, ctx);
+  SnapshotRef snap = PinSnapshot();
+  return EvalVisibleAt(SnapshotPaths(*snap), p, ctx);
 }
 
 Result<std::vector<QueryHit>> QueryEngine::VisualTopK(
     const std::string& kind, const ml::FeatureVector& feature, int k,
     const RequestContext* ctx, const QueryBudget& budget) const {
-  if (SnapshotRef snap = PinIfSnapshotReads()) {
-    return EvalVisualTopK(SnapshotPaths(*snap), kind, feature, k, ctx, budget);
-  }
-  return WithReaderLock(
-      [&] { return VisualTopKLocked(kind, feature, k, ctx, budget); });
-}
-
-Result<std::vector<QueryHit>> QueryEngine::VisualTopKLocked(
-    const std::string& kind, const ml::FeatureVector& feature, int k,
-    const RequestContext* ctx, const QueryBudget& budget) const {
-  return EvalVisualTopK(PathsLocked(), kind, feature, k, ctx, budget);
+  SnapshotRef snap = PinSnapshot();
+  return EvalVisualTopK(SnapshotPaths(*snap), kind, feature, k, ctx, budget);
 }
 
 Result<std::vector<QueryHit>> QueryEngine::VisualThreshold(
     const std::string& kind, const ml::FeatureVector& feature, double threshold,
     const RequestContext* ctx, const QueryBudget& budget) const {
-  if (SnapshotRef snap = PinIfSnapshotReads()) {
-    return EvalVisualThreshold(SnapshotPaths(*snap), kind, feature, threshold,
-                               ctx, budget);
-  }
-  return WithReaderLock([&] {
-    return VisualThresholdLocked(kind, feature, threshold, ctx, budget);
-  });
-}
-
-Result<std::vector<QueryHit>> QueryEngine::VisualThresholdLocked(
-    const std::string& kind, const ml::FeatureVector& feature, double threshold,
-    const RequestContext* ctx, const QueryBudget& budget) const {
-  return EvalVisualThreshold(PathsLocked(), kind, feature, threshold, ctx,
-                             budget);
+  SnapshotRef snap = PinSnapshot();
+  return EvalVisualThreshold(SnapshotPaths(*snap), kind, feature, threshold,
+                             ctx, budget);
 }
 
 Result<std::vector<QueryHit>> QueryEngine::Categorical(
     const CategoricalPredicate& pred) const {
-  if (SnapshotRef snap = PinIfSnapshotReads()) {
-    return EvalCategorical(SnapshotPaths(*snap), pred);
-  }
-  return WithReaderLock([&] { return CategoricalLocked(pred); });
-}
-
-Result<std::vector<QueryHit>> QueryEngine::CategoricalLocked(
-    const CategoricalPredicate& pred) const {
-  return EvalCategorical(PathsLocked(), pred);
+  SnapshotRef snap = PinSnapshot();
+  return EvalCategorical(SnapshotPaths(*snap), pred);
 }
 
 Result<std::vector<QueryHit>> QueryEngine::Textual(
     const TextualPredicate& pred) const {
-  if (SnapshotRef snap = PinIfSnapshotReads()) {
-    return EvalTextual(SnapshotPaths(*snap), pred);
-  }
-  return WithReaderLock([&] { return TextualLocked(pred); });
-}
-
-Result<std::vector<QueryHit>> QueryEngine::TextualLocked(
-    const TextualPredicate& pred) const {
-  return EvalTextual(PathsLocked(), pred);
+  SnapshotRef snap = PinSnapshot();
+  return EvalTextual(SnapshotPaths(*snap), pred);
 }
 
 Result<std::vector<QueryHit>> QueryEngine::Temporal(Timestamp begin,
                                                     Timestamp end) const {
-  if (SnapshotRef snap = PinIfSnapshotReads()) {
-    return EvalTemporal(SnapshotPaths(*snap), begin, end);
-  }
-  return WithReaderLock([&] { return TemporalLocked(begin, end); });
+  SnapshotRef snap = PinSnapshot();
+  return EvalTemporal(SnapshotPaths(*snap), begin, end);
 }
 
-Result<std::vector<QueryHit>> QueryEngine::TemporalLocked(Timestamp begin,
-                                                          Timestamp end) const {
-  return EvalTemporal(PathsLocked(), begin, end);
-}
-
-Result<std::vector<QueryHit>> QueryEngine::SpatialVisualTopKOn(
-    const std::map<std::string, std::shared_ptr<index::VisualRTree>>& trees,
+Result<std::vector<QueryHit>> QueryEngine::SpatialVisualTopK(
     const geo::GeoPoint& p, const std::string& kind,
-    const ml::FeatureVector& feature, int k, double alpha) {
-  auto it = trees.find(kind);
-  if (it == trees.end()) {
+    const ml::FeatureVector& feature, int k, double alpha) const {
+  SnapshotRef snap = PinSnapshot();
+  auto it = snap->visual_rtree.find(kind);
+  if (it == snap->visual_rtree.end()) {
     return Status::NotFound("no hybrid index for kind: " + kind);
   }
   std::vector<QueryHit> out;
@@ -469,48 +357,17 @@ Result<std::vector<QueryHit>> QueryEngine::SpatialVisualTopKOn(
   return out;
 }
 
-Result<std::vector<QueryHit>> QueryEngine::SpatialVisualTopK(
-    const geo::GeoPoint& p, const std::string& kind,
-    const ml::FeatureVector& feature, int k, double alpha) const {
-  if (SnapshotRef snap = PinIfSnapshotReads()) {
-    return SpatialVisualTopKOn(snap->visual_rtree, p, kind, feature, k, alpha);
-  }
-  return WithReaderLock([&] {
-    return SpatialVisualTopKOn(visual_rtree_, p, kind, feature, k, alpha);
-  });
-}
-
 Result<std::vector<QueryHit>> QueryEngine::Execute(
     const HybridQuery& q, const RequestContext* ctx, const QueryBudget& budget,
     QueryPlan* plan_out, const PlannerOptions& options) const {
-  if (SnapshotRef snap = PinIfSnapshotReads()) {
-    return ExecuteOnPaths(SnapshotPaths(*snap), q, ctx, budget, plan_out,
-                          options);
-  }
-  return WithReaderLock(
-      [&] { return ExecuteLocked(q, ctx, budget, plan_out, options); });
-}
-
-Result<std::vector<QueryHit>> QueryEngine::ExecuteLocked(
-    const HybridQuery& q, const RequestContext* ctx, const QueryBudget& budget,
-    QueryPlan* plan_out, const PlannerOptions& options) const {
-  return ExecuteOnPaths(PathsLocked(), q, ctx, budget, plan_out, options);
-}
-
-Result<std::vector<QueryHit>> QueryEngine::ExecuteOnPaths(
-    const AccessPaths& paths, const HybridQuery& q, const RequestContext* ctx,
-    const QueryBudget& budget, QueryPlan* plan_out,
-    const PlannerOptions& options) const {
+  SnapshotRef snap = PinSnapshot();
+  AccessPaths paths = SnapshotPaths(*snap);
   TVDP_ASSIGN_OR_RETURN(QueryPlan plan,
                         Planner::BuildPlan(paths, q, budget, options));
-  // An already-failed context rejects before any index is probed — and
-  // before the plan becomes observable through last_plan().
+  // An already-failed context rejects before any index is probed, leaving
+  // `plan_out` untouched.
   if (ctx) TVDP_RETURN_IF_ERROR(ctx->Check());
-  Executor::PlanReadyFn publish = [this](const QueryPlan& p) {
-    std::lock_guard<std::mutex> plan_lock(plan_mutex_);
-    last_plan_ = p.LegacySummary();
-  };
-  auto result = Executor::Run(paths, q, &plan, ctx, publish);
+  auto result = Executor::Run(paths, q, &plan, ctx);
   if (plan_out) *plan_out = std::move(plan);
   return result;
 }
@@ -518,15 +375,15 @@ Result<std::vector<QueryHit>> QueryEngine::ExecuteOnPaths(
 Result<QueryPlan> QueryEngine::Explain(const HybridQuery& q,
                                        const QueryBudget& budget,
                                        const PlannerOptions& options) const {
-  if (SnapshotRef snap = PinIfSnapshotReads()) {
-    return Planner::BuildPlan(SnapshotPaths(*snap), q, budget, options);
-  }
-  return WithReaderLock(
-      [&] { return Planner::BuildPlan(PathsLocked(), q, budget, options); });
+  SnapshotRef snap = PinSnapshot();
+  return Planner::BuildPlan(SnapshotPaths(*snap), q, budget, options);
 }
 
-Result<std::vector<QueryHit>> QueryEngine::SpatialRangeScanOn(
-    const Table* images, const Table* fov_table, const geo::BoundingBox& box) {
+Result<std::vector<QueryHit>> QueryEngine::SpatialRangeScan(
+    const geo::BoundingBox& box) const {
+  SnapshotRef snap = PinSnapshot();
+  const Table* images = snap->FindTable(tables::kImages);
+  const Table* fov_table = snap->FindTable(tables::kImageFov);
   if (!images || !fov_table) {
     return Status::FailedPrecondition("schema tables missing");
   }
@@ -568,21 +425,10 @@ Result<std::vector<QueryHit>> QueryEngine::SpatialRangeScanOn(
   return out;
 }
 
-Result<std::vector<QueryHit>> QueryEngine::SpatialRangeScan(
-    const geo::BoundingBox& box) const {
-  if (SnapshotRef snap = PinIfSnapshotReads()) {
-    return SpatialRangeScanOn(snap->FindTable(tables::kImages),
-                              snap->FindTable(tables::kImageFov), box);
-  }
-  return WithReaderLock([&] {
-    return SpatialRangeScanOn(catalog_->GetTable(tables::kImages),
-                              catalog_->GetTable(tables::kImageFov), box);
-  });
-}
-
-Result<std::vector<QueryHit>> QueryEngine::VisualTopKScanOn(
-    const Table* feats, const std::string& kind,
-    const ml::FeatureVector& feature, int k) {
+Result<std::vector<QueryHit>> QueryEngine::VisualTopKScan(
+    const std::string& kind, const ml::FeatureVector& feature, int k) const {
+  SnapshotRef snap = PinSnapshot();
+  const Table* feats = snap->FindTable(tables::kImageVisualFeatures);
   if (!feats) return Status::FailedPrecondition("features table missing");
   const storage::Schema& fs = feats->schema();
   size_t kind_idx = static_cast<size_t>(fs.ColumnIndex("feature_kind"));
@@ -606,18 +452,6 @@ Result<std::vector<QueryHit>> QueryEngine::VisualTopKScanOn(
     all.resize(static_cast<size_t>(std::max(k, 0)));
   }
   return all;
-}
-
-Result<std::vector<QueryHit>> QueryEngine::VisualTopKScan(
-    const std::string& kind, const ml::FeatureVector& feature, int k) const {
-  if (SnapshotRef snap = PinIfSnapshotReads()) {
-    return VisualTopKScanOn(snap->FindTable(tables::kImageVisualFeatures),
-                            kind, feature, k);
-  }
-  return WithReaderLock([&] {
-    return VisualTopKScanOn(catalog_->GetTable(tables::kImageVisualFeatures),
-                            kind, feature, k);
-  });
 }
 
 }  // namespace tvdp::query

@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <set>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -37,50 +36,30 @@ namespace tvdp::query {
 
 /// The access layer of TVDP: maintains the per-modality indexes over the
 /// catalog (Sec. IV-C) and serves queries. The engine itself is a thin
-/// facade: it owns the indexes and the reader-writer lock, assembles an
-/// AccessPaths view, and delegates planning to the cost-based Planner and
-/// evaluation to the Executor's operator pipeline (see DESIGN.md "Query
-/// planning and EXPLAIN"). Index maintenance is explicit — call IndexImage
-/// after inserting the corresponding rows — which mirrors the ingest
-/// pipeline of the platform.
+/// facade: it owns the indexes and the writer mutex, publishes immutable
+/// snapshots of them, and delegates planning to the cost-based Planner and
+/// evaluation to the Executor's operator pipeline over a snapshot's
+/// AccessPaths (see DESIGN.md "Query planning and EXPLAIN").
 ///
-/// Thread safety — two modes (DESIGN.md "MVCC snapshots"):
+/// Only the platform facade (platform::Tvdp) constructs an engine and
+/// mutates it. Construction publishes version 1, and every facade write
+/// section (catalog mutation, index update, publish) runs under `mutex_`
+/// and ends by publishing the next version (DESIGN.md "MVCC snapshots and
+/// copy-on-write storage").
 ///
-///  * Managed (EnableManagedSnapshots(), the platform facade's mode):
-///    reads are LOCK-FREE. Every commit publishes an immutable refcounted
-///    EngineSnapshot via an atomic root swap; a query pins the current
-///    snapshot (two relaxed atomic ops) and never touches `mutex()`, so
-///    readers can neither block nor starve a writer. Writers still take
-///    the writer side of `mutex()` exclusively — catalog mutation, index
-///    update, and snapshot publication form one atomic write section.
-///
-///  * Legacy (standalone engine over an externally mutated catalog, e.g.
-///    tests that insert rows behind the engine's back): reads take the
-///    shared side of `mutex()` as before. This is the only shared-lock
-///    acquisition left in src/query/ (enforced by scripts/lock_audit.sh).
+/// Thread safety: reads are LOCK-FREE. Every public read pins the latest
+/// published EngineSnapshot (two atomic ops) and evaluates over it, so
+/// readers never touch the mutex and can neither block nor starve a
+/// writer. Readers write no shared engine state; the executed plan is
+/// returned through `plan_out` only.
 ///
 /// Heavy read paths (hybrid candidate verification, LSH probing and
 /// re-ranking, FOV refinement, spatial-kNN exact re-ranking) fan out
-/// across `pool` when the work is large enough to amortize scheduling.
+/// across the pool when the work is large enough to amortize scheduling.
 class QueryEngine {
  public:
-  /// `catalog` must outlive the engine and contain the TVDP schema.
-  /// `pool` (default: the process-shared pool) runs intra-query fan-out;
-  /// pass a zero-worker pool to force sequential execution.
-  explicit QueryEngine(storage::Catalog* catalog, ThreadPool* pool = nullptr);
-
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
-
-  /// Registers image `image_id` in the spatial/temporal/textual indexes,
-  /// reading its rows from the catalog. FOV and keywords are optional in
-  /// the data, features are indexed separately via IndexFeature.
-  Status IndexImage(storage::RowId image_id);
-
-  /// Registers one visual feature vector of an image. The first vector of
-  /// each kind fixes that kind's dimensionality.
-  Status IndexFeature(storage::RowId image_id, const std::string& kind,
-                      const ml::FeatureVector& feature);
 
   // --- Single-modality queries (Sec. IV-C's five families) ---
   //
@@ -161,7 +140,7 @@ class QueryEngine {
 
   /// Plans a hybrid query without executing it: validation, cardinality
   /// estimation, conjunct ordering, operator tree. Deterministic for a
-  /// given query and corpus state; never touches `last_plan()`.
+  /// given query and corpus state.
   Result<QueryPlan> Explain(const HybridQuery& q,
                             const QueryBudget& budget = QueryBudget(),
                             const PlannerOptions& options =
@@ -185,45 +164,11 @@ class QueryEngine {
                                                const ml::FeatureVector& feature,
                                                int k) const;
 
-  /// The plan chosen by the last Execute call, e.g.
-  /// "seed=categorical(12) verify=[spatial temporal]". Returned by value:
-  /// under concurrent Execute calls the string is only a point-in-time
-  /// observation.
-  std::string last_plan() const;
-
-  size_t indexed_images() const {
-    return indexed_images_.load(std::memory_order_relaxed);
-  }
-
-  /// The reader-writer lock guarding the indexes. Held exclusively by
-  /// IndexImage/IndexFeature and by the platform facade around catalog-
-  /// mutation + index-update + snapshot-publish sections; held shared only
-  /// by legacy-mode reads.
-  std::shared_mutex& mutex() const { return mutex_; }
-
   // --- MVCC snapshots ---
 
-  /// Switches the engine into managed mode: publishes an initial snapshot
-  /// and serves every subsequent read lock-free from the latest published
-  /// version. Requires that all catalog mutations flow through a caller
-  /// that republishes after each commit (the platform facade does); an
-  /// engine whose catalog is mutated behind its back must stay legacy.
-  void EnableManagedSnapshots();
-  bool managed() const { return managed_; }
-
-  /// Toggles lock-free snapshot reads at runtime (managed mode only).
-  /// Off = reads fall back to the legacy shared-lock path against live
-  /// state; used by the read-scaling bench to measure MVCC head-to-head.
-  void set_snapshot_reads(bool on) {
-    snapshot_reads_.store(on, std::memory_order_relaxed);
-  }
-  bool snapshot_reads() const {
-    return snapshot_reads_.load(std::memory_order_relaxed);
-  }
-
-  /// Pins the latest published snapshot (null ref before the first
-  /// publish). The pin is two atomic ops; the returned ref keeps every
-  /// component of that version alive until released.
+  /// Pins the latest published snapshot (never null: construction
+  /// publishes version 1). The pin is two atomic ops; the returned ref
+  /// keeps every component of that version alive until released.
   SnapshotRef PinSnapshot() const {
     return SnapshotRef(snapshot_.load(), &pinned_readers_);
   }
@@ -233,27 +178,6 @@ class QueryEngine {
   /// the SnapshotRef lives.
   AccessPaths SnapshotPaths(const EngineSnapshot& snap) const;
 
-  /// Publishes a new immutable snapshot from the current live state,
-  /// copy-on-write: only components marked dirty since the last publish
-  /// are cloned; everything else is shared with the previous version.
-  /// No-op when nothing is dirty or the engine is not managed. Caller
-  /// must hold mutex() exclusively.
-  void PublishLocked();
-
-  /// Marks a catalog table as touched by the current write section so the
-  /// next PublishLocked() re-copies it. Caller must hold mutex()
-  /// exclusively.
-  void MarkTableDirtyLocked(const std::string& table);
-
-  /// Appends one annotation to the columnar hot columns (mirrors the
-  /// annotation-table insert). Caller must hold mutex() exclusively.
-  void NoteAnnotationLocked(int64_t image_id, int64_t type_id,
-                            double confidence, const std::string& source);
-
-  /// Installs the classification registry published with the next
-  /// snapshot. Caller must hold mutex() exclusively.
-  void SetClassMapLocked(const ClassMap& m);
-
   /// MVCC observability for platform_stats: {version, pinned_snapshots,
   /// retired_versions, bytes_copied_last_commit, bytes_shared_last_commit}.
   Json MvccStatsJson() const;
@@ -261,96 +185,84 @@ class QueryEngine {
  private:
   friend class tvdp::platform::Tvdp;
 
-  /// The non-owning view of the indexes/catalog/pool that the planner and
-  /// executor operate over. Caller must hold mutex() (shared suffices).
-  AccessPaths PathsLocked() const;
+  /// `catalog` must outlive the engine and contain the TVDP schema.
+  /// `pool` (default: the process-shared pool) runs intra-query fan-out;
+  /// pass a zero-worker pool to force sequential execution. Publishes
+  /// version 1 from the catalog's current state.
+  explicit QueryEngine(storage::Catalog* catalog, ThreadPool* pool = nullptr);
 
-  /// Pins the current snapshot when managed with snapshot reads on; an
-  /// empty ref otherwise (caller falls back to the locked path).
-  SnapshotRef PinIfSnapshotReads() const {
-    if (managed_ && snapshot_reads_.load(std::memory_order_relaxed)) {
-      return PinSnapshot();
+  /// The writer mutex: held by the platform facade around every
+  /// catalog-mutation + index-update + snapshot-publish section. Readers
+  /// never take it.
+  std::mutex& mutex() const { return mutex_; }
+
+  /// One facade write section: holds the writer mutex for its lifetime
+  /// and, on exit (success and error paths alike), installs `class_map`
+  /// when given and publishes the next snapshot before releasing the
+  /// mutex — so the published version never diverges from the live
+  /// catalog, and a concurrent query never sees half a write.
+  class CommitScope {
+   public:
+    explicit CommitScope(QueryEngine* engine,
+                         const ClassMap* class_map = nullptr)
+        : engine_(engine), class_map_(class_map), lock_(engine->mutex_) {}
+    CommitScope(const CommitScope&) = delete;
+    CommitScope& operator=(const CommitScope&) = delete;
+    ~CommitScope() {
+      if (class_map_) engine_->SetClassMapLocked(*class_map_);
+      engine_->PublishLocked();
     }
-    return SnapshotRef();
-  }
 
-  /// The single shared-lock acquisition in src/query/ (pinned by
-  /// scripts/lock_audit.sh): legacy-mode reads funnel through here so the
-  /// lock-free claim is auditable by grep.
-  template <typename Fn>
-  auto WithReaderLock(Fn&& fn) const {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    return fn();
-  }
+   private:
+    QueryEngine* engine_;
+    const ClassMap* class_map_;
+    std::unique_lock<std::mutex> lock_;
+  };
 
-  // --- Locked variants: caller must hold mutex() (exclusively for the
-  // Index* pair, shared or exclusive for the query methods). ---
+  // --- Write section: caller must hold mutex() (e.g. via CommitScope). ---
+
+  /// Publishes a new immutable snapshot from the current live state,
+  /// copy-on-write: only components marked dirty since the last publish
+  /// are cloned; everything else is shared with the previous version.
+  /// No-op when nothing is dirty.
+  void PublishLocked();
+
+  /// Marks a catalog table as touched by the current write section so the
+  /// next PublishLocked() re-copies it.
+  void MarkTableDirtyLocked(const std::string& table);
+
+  /// Appends one annotation to the columnar hot columns (mirrors the
+  /// annotation-table insert).
+  void NoteAnnotationLocked(int64_t image_id, int64_t type_id,
+                            double confidence, const std::string& source);
+
+  /// Installs the classification registry published with the next
+  /// snapshot.
+  void SetClassMapLocked(const ClassMap& m);
+
+  /// Registers image `image_id` in the spatial/temporal/textual indexes
+  /// and the columnar hot columns, reading its rows from the catalog.
   Status IndexImageLocked(storage::RowId image_id);
+  /// Registers one visual feature vector of an image. The first vector of
+  /// each kind fixes that kind's dimensionality.
   Status IndexFeatureLocked(storage::RowId image_id, const std::string& kind,
                             const ml::FeatureVector& feature);
-  /// Drops every index back to empty (caller must hold mutex()
-  /// exclusively). Used by the platform facade after a bulk row removal —
-  /// the indexes have no per-record delete, so the facade resets and
-  /// re-indexes the surviving rows.
+  /// Drops every index back to empty. Used by the platform facade after a
+  /// bulk row removal — the indexes have no per-record delete, so the
+  /// facade resets and re-indexes the surviving rows.
   void ResetIndexesLocked();
-  Result<std::vector<QueryHit>> SpatialRangeLocked(
-      const geo::BoundingBox& box, const RequestContext* ctx = nullptr) const;
-  Result<std::vector<QueryHit>> SpatialKnnLocked(
-      const geo::GeoPoint& p, int k, const RequestContext* ctx = nullptr) const;
-  Result<std::vector<QueryHit>> VisibleAtLocked(
-      const geo::GeoPoint& p, const RequestContext* ctx = nullptr) const;
-  Result<std::vector<QueryHit>> VisualTopKLocked(
-      const std::string& kind, const ml::FeatureVector& feature, int k,
-      const RequestContext* ctx = nullptr,
-      const QueryBudget& budget = QueryBudget()) const;
-  Result<std::vector<QueryHit>> VisualThresholdLocked(
-      const std::string& kind, const ml::FeatureVector& feature,
-      double threshold, const RequestContext* ctx = nullptr,
-      const QueryBudget& budget = QueryBudget()) const;
-  Result<std::vector<QueryHit>> CategoricalLocked(
-      const CategoricalPredicate& pred) const;
-  Result<std::vector<QueryHit>> TextualLocked(
-      const TextualPredicate& pred) const;
-  Result<std::vector<QueryHit>> TemporalLocked(Timestamp begin,
-                                               Timestamp end) const;
-  Result<std::vector<QueryHit>> ExecuteLocked(
-      const HybridQuery& q, const RequestContext* ctx = nullptr,
-      const QueryBudget& budget = QueryBudget(), QueryPlan* plan_out = nullptr,
-      const PlannerOptions& options = PlannerOptions()) const;
-
-  /// Shared body of Execute: plan + run over the given paths (a pinned
-  /// snapshot or the locked live view).
-  Result<std::vector<QueryHit>> ExecuteOnPaths(
-      const AccessPaths& paths, const HybridQuery& q, const RequestContext* ctx,
-      const QueryBudget& budget, QueryPlan* plan_out,
-      const PlannerOptions& options) const;
-
-  /// Shared bodies of the full-scan ablation baselines, parameterized on
-  /// the table provenance (snapshot tables or live catalog).
-  static Result<std::vector<QueryHit>> SpatialRangeScanOn(
-      const storage::Table* images, const storage::Table* fov_table,
-      const geo::BoundingBox& box);
-  static Result<std::vector<QueryHit>> VisualTopKScanOn(
-      const storage::Table* feats, const std::string& kind,
-      const ml::FeatureVector& feature, int k);
-
-  /// SpatialVisualTopK body over an explicit hybrid-index map.
-  static Result<std::vector<QueryHit>> SpatialVisualTopKOn(
-      const std::map<std::string, std::shared_ptr<index::VisualRTree>>& trees,
-      const geo::GeoPoint& p, const std::string& kind,
-      const ml::FeatureVector& feature, int k, double alpha);
 
   storage::Catalog* catalog_;
   ThreadPool* pool_;
 
-  // --- Live mutable state (guarded by mutex_'s writer side) ---
+  // --- Live mutable state (guarded by mutex_) ---
   index::RTree points_;
   index::OrientedRTree fovs_;
   index::TemporalIndex temporal_;
   index::InvertedIndex keywords_;
   std::map<std::string, std::shared_ptr<index::LshIndex>> lsh_;
   std::map<std::string, std::shared_ptr<index::VisualRTree>> visual_rtree_;
-  std::atomic<size_t> indexed_images_ = 0;
+  size_t indexed_images_ = 0;
 
   /// Columnar builders mirroring the hot columns of the images and
   /// annotation tables; frozen (structurally shared) into every snapshot.
@@ -360,7 +272,7 @@ class QueryEngine {
   std::shared_ptr<const ClassMap> class_map_ =
       std::make_shared<const ClassMap>();
 
-  // --- Dirty tracking since the last publish (writer-lock guarded) ---
+  // --- Dirty tracking since the last publish (guarded by mutex_) ---
   std::set<std::string> dirty_tables_;
   std::set<std::string> dirty_feature_kinds_;
   bool dirty_points_ = false;
@@ -371,8 +283,6 @@ class QueryEngine {
   bool all_dirty_ = false;
 
   // --- MVCC publication state ---
-  bool managed_ = false;
-  std::atomic<bool> snapshot_reads_{true};
   /// The published root. Readers load-acquire and pin; writers
   /// store-release a fresh version per commit. Retired versions reclaim
   /// via shared_ptr refcounting when the last pinned reader drains.
@@ -384,13 +294,8 @@ class QueryEngine {
   mutable std::atomic<int64_t> pinned_readers_{0};
   uint64_t next_version_ = 1;
 
-  /// Reader-writer lock over every index and (through the facade) the
-  /// catalog. Mutable: query methods are logically const readers.
-  mutable std::shared_mutex mutex_;
-  /// last_plan_ is written by concurrent readers, so it has its own tiny
-  /// lock.
-  mutable std::mutex plan_mutex_;
-  mutable std::string last_plan_;
+  /// Writer mutex over every index and (through the facade) the catalog.
+  mutable std::mutex mutex_;
 };
 
 }  // namespace tvdp::query

@@ -439,23 +439,19 @@ class DedupCapOp : public Operator {
   bool finalized_ = false;
 };
 
-/// Pipeline breaker: drains the candidate stream, publishes the plan (the
-/// legacy plan string becomes observable at this instant — before any
-/// verification work, so a query cancelled mid-verify still reports its
-/// plan), materializes the set-valued conjuncts once, then verifies every
-/// candidate — in parallel when the set is large. Survivors stream out in
-/// candidate order with their exact visual distance filled in.
+/// Pipeline breaker: drains the candidate stream, materializes the
+/// set-valued conjuncts once, then verifies every candidate — in parallel
+/// when the set is large. Survivors stream out in candidate order with
+/// their exact visual distance filled in.
 class VerifyOp : public Operator {
  public:
   VerifyOp(std::unique_ptr<Operator> child, const AccessPaths& access,
-           const HybridQuery& q, QueryPlan* plan, PlanNode* node,
-           const Executor::PlanReadyFn& on_plan_ready)
+           const HybridQuery& q, QueryPlan* plan, PlanNode* node)
       : child_(std::move(child)),
         access_(access),
         q_(q),
         plan_(plan),
-        node_(node),
-        on_plan_ready_(on_plan_ready) {}
+        node_(node) {}
 
   Result<std::optional<std::vector<QueryHit>>> Next(
       const RequestContext* ctx) override {
@@ -479,7 +475,6 @@ class VerifyOp : public Operator {
       if (!batch) break;
       candidates.insert(candidates.end(), batch->begin(), batch->end());
     }
-    if (on_plan_ready_) on_plan_ready_(*plan_);
 
     // Materialize set-valued conjuncts once — their membership check was
     // a full index probe per candidate in the pre-planner engine; one
@@ -659,7 +654,6 @@ class VerifyOp : public Operator {
   const HybridQuery& q_;
   QueryPlan* plan_;
   PlanNode* node_;
-  const Executor::PlanReadyFn& on_plan_ready_;
   std::map<std::string, std::unordered_set<int64_t>> materialized_;
   bool ran_ = false;
   std::vector<QueryHit> kept_;
@@ -752,16 +746,14 @@ class RerankOp : public Operator {
 Result<std::vector<QueryHit>> Executor::Run(const AccessPaths& access,
                                             const HybridQuery& q,
                                             QueryPlan* plan,
-                                            const RequestContext* ctx,
-                                            const PlanReadyFn& on_plan_ready) {
+                                            const RequestContext* ctx) {
   // Assemble the operator chain along the plan's spine, innermost first.
   std::unique_ptr<Operator> op = std::make_unique<SeedProbeOp>(
       access, q, *plan, FindSpineNode(&plan->root, "IndexProbe"));
   op = std::make_unique<DedupCapOp>(std::move(op), plan,
                                     FindSpineNode(&plan->root, "Dedup"));
   op = std::make_unique<VerifyOp>(std::move(op), access, q, plan,
-                                  FindSpineNode(&plan->root, "Verify"),
-                                  on_plan_ready);
+                                  FindSpineNode(&plan->root, "Verify"));
   if (PlanNode* topk = FindSpineNode(&plan->root, "TopK")) {
     op = std::make_unique<HeadOp>(std::move(op),
                                   static_cast<size_t>(q.visual->k), topk);

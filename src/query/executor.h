@@ -1,7 +1,6 @@
 #ifndef TVDP_QUERY_EXECUTOR_H_
 #define TVDP_QUERY_EXECUTOR_H_
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -17,8 +16,8 @@ namespace tvdp::query {
 // --- Single-family evaluation over the access paths ---
 //
 // These are the leaf routines of the operator pipeline and the bodies
-// behind the QueryEngine's single-modality entry points (the engine wraps
-// them with its reader lock). Each guards its own degenerate arguments
+// behind the QueryEngine's single-modality entry points (the engine runs
+// them over a pinned snapshot). Each guards its own degenerate arguments
 // (kInvalidArgument) so a malformed predicate fails identically whichever
 // door it comes in through; each checks `ctx` before touching an index and
 // annotates context failures with a stage name and progress.
@@ -74,23 +73,15 @@ class Operator {
 /// Executes a plan built by the Planner against the access paths.
 class Executor {
  public:
-  /// Fires once the candidate set is materialized (after dedup and budget
-  /// cap, before verification) — the moment the plan's seed accounting is
-  /// final and the legacy plan string becomes observable. Not invoked when
-  /// seeding fails, so a query rejected before doing work never publishes
-  /// a plan.
-  using PlanReadyFn = std::function<void(const QueryPlan&)>;
-
   /// Runs `plan` (which must have been built from the same `q` and access
   /// paths) and returns the result rows. Fills `plan->seed_candidates`,
   /// `plan->capped_from`, the per-operator `actual_rows`, and sets
-  /// `plan->executed` on success. The caller must hold the engine's reader
-  /// lock for the duration.
+  /// `plan->executed` on success. `access` (a pinned snapshot's paths)
+  /// must stay valid for the duration.
   static Result<std::vector<QueryHit>> Run(const AccessPaths& access,
                                            const HybridQuery& q,
                                            QueryPlan* plan,
-                                           const RequestContext* ctx,
-                                           const PlanReadyFn& on_plan_ready);
+                                           const RequestContext* ctx);
 };
 
 }  // namespace tvdp::query

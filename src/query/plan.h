@@ -76,7 +76,7 @@ struct QueryPlan {
 
   /// The legacy one-line plan summary, e.g.
   /// "seed=textual(1) verify=[spatial temporal] cap=512/900 degraded" —
-  /// byte-compatible with the pre-planner `last_plan()` string.
+  /// byte-compatible with the pre-planner engine's plan string.
   std::string LegacySummary() const;
 
   /// Deterministic JSON: operator tree, conjunct order and strategies,

@@ -9,11 +9,8 @@ namespace tvdp::query {
 
 const storage::Table* FindTable(const AccessPaths& access,
                                 const std::string& name) {
-  if (access.tables) {
-    auto it = access.tables->find(name);
-    if (it != access.tables->end()) return it->second.get();
-  }
-  return access.catalog ? access.catalog->GetTable(name) : nullptr;
+  auto it = access.tables->find(name);
+  return it == access.tables->end() ? nullptr : it->second.get();
 }
 
 namespace {

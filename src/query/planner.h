@@ -21,16 +21,12 @@
 namespace tvdp::query {
 
 /// The access paths the planner and executor operate over: non-owning
-/// views of the indexes, tables, and the fan-out pool. Two provenances:
-///  * a pinned MVCC snapshot (`tables` set, `catalog` null) — the default
-///    read path; everything referenced is immutable, no lock held;
-///  * the live engine state (`catalog` set) — writers' read-own-writes
-///    and the legacy locked path; caller holds the engine mutex.
-/// Resolve tables through FindTable() so both provenances work. The
-/// planner never reaches into index internals — only through the
-/// `CardinalityEstimate` statistics hooks and the public probe methods.
+/// views of one pinned MVCC snapshot's tables, indexes and columnar hot
+/// columns, plus the fan-out pool (QueryEngine::SnapshotPaths). Everything
+/// referenced is immutable, so no lock is held. The planner never reaches
+/// into index internals — only through the `CardinalityEstimate`
+/// statistics hooks and the public probe methods.
 struct AccessPaths {
-  const storage::Catalog* catalog = nullptr;
   const storage::TableSet* tables = nullptr;
   ThreadPool* pool = nullptr;
   const index::RTree* points = nullptr;
@@ -40,16 +36,15 @@ struct AccessPaths {
   const std::map<std::string, std::shared_ptr<index::LshIndex>>* lsh = nullptr;
   const std::map<std::string, std::shared_ptr<index::VisualRTree>>*
       visual_rtree = nullptr;
-  /// Columnar hot columns; may be null (legacy path) or stale relative to
-  /// the table (mid-rebuild) — consumers fall back to row storage unless
-  /// the sizes match.
+  /// Columnar hot columns; may be stale relative to the table (a write
+  /// section that failed part-way still publishes its rows) — consumers
+  /// fall back to row storage unless the sizes match.
   const storage::ColumnarImages* col_images = nullptr;
   const storage::ColumnarAnnotations* col_annotations = nullptr;
   size_t indexed_images = 0;
 };
 
-/// Table lookup across both AccessPaths provenances: the snapshot table
-/// set when present, the live catalog otherwise. Nullptr when absent.
+/// The snapshot table named `name`, or nullptr when absent.
 const storage::Table* FindTable(const AccessPaths& access,
                                 const std::string& name);
 

@@ -56,9 +56,9 @@ struct EngineSnapshot {
   std::shared_ptr<const storage::ColumnarImages> col_images;
   std::shared_ptr<const storage::ColumnarAnnotations> col_annotations;
 
-  /// Frozen indexes. Non-const map values for lsh/visual_rtree so the
-  /// engine's live maps and these share one AccessPaths type; immutability
-  /// is by convention (queries only call const methods).
+  /// Frozen indexes. Non-const map values for lsh/visual_rtree (the map
+  /// type AccessPaths names); immutability is by convention (queries only
+  /// call const methods).
   std::shared_ptr<const index::RTree> points;
   std::shared_ptr<const index::OrientedRTree> fovs;
   std::shared_ptr<const index::TemporalIndex> temporal;

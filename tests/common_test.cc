@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/json.h"
 #include "common/logging.h"
+#include "common/percentile.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -375,6 +377,19 @@ TEST(LoggingTest, LevelGate) {
   EXPECT_EQ(GetLogLevel(), LogLevel::kError);
   TVDP_LOG(Info) << "should be suppressed";
   SetLogLevel(before);
+}
+
+TEST(PercentileTest, NearestRank) {
+  EXPECT_EQ(Percentile({}, 50), 0);
+  EXPECT_EQ(Percentile({7.5}, 1), 7.5);
+  EXPECT_EQ(Percentile({7.5}, 50), 7.5);
+  EXPECT_EQ(Percentile({7.5}, 100), 7.5);
+
+  std::vector<double> one_to_hundred;
+  for (int i = 100; i >= 1; --i) one_to_hundred.push_back(i);  // unsorted
+  EXPECT_EQ(Percentile(one_to_hundred, 50), 50);
+  EXPECT_EQ(Percentile(one_to_hundred, 99), 99);
+  EXPECT_EQ(Percentile(one_to_hundred, 100), 100);
 }
 
 }  // namespace

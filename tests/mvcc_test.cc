@@ -1,15 +1,13 @@
 // MVCC snapshot isolation: lock-free reads over published versions.
 //
-// Covers the four contracts of DESIGN.md "MVCC snapshots and copy-on-write
-// storage":
+// Covers the three contracts of DESIGN.md "MVCC snapshots and
+// copy-on-write storage":
 //  * isolation  — a reader pinned mid-commit sees the byte-identical
 //    pre-commit result set, no matter how much churn commits after the pin;
 //  * liveness   — reads complete while the writer lock is held, and a
 //    saturating reader pool never delays a writer commit;
 //  * durability — crash recovery republishes a version with the same
-//    serialized bytes and the same query envelopes;
-//  * fallback   — legacy (unmanaged) engines and the snapshot_reads=false
-//    toggle still serve correct results through the locked path.
+//    serialized bytes and the same query envelopes.
 
 #include <gtest/gtest.h>
 
@@ -41,8 +39,6 @@ namespace {
 using platform::AnnotationRecord;
 using platform::ImageRecord;
 using platform::Tvdp;
-using storage::Row;
-using storage::Value;
 namespace tables = storage::tables;
 
 constexpr Timestamp kT0 = 1546300800;
@@ -123,7 +119,7 @@ Result<std::vector<QueryHit>> RunOnSnapshot(const QueryEngine& engine,
   AccessPaths paths = engine.SnapshotPaths(snap);
   TVDP_ASSIGN_OR_RETURN(QueryPlan plan,
                         Planner::BuildPlan(paths, q, QueryBudget()));
-  return Executor::Run(paths, q, &plan, nullptr, nullptr);
+  return Executor::Run(paths, q, &plan, nullptr);
 }
 
 /// Byte-exact envelope equality: ids, order, and score bit patterns.
@@ -138,6 +134,19 @@ void ExpectSameHits(const std::vector<QueryHit>& a,
 }
 
 // ---------- isolation ----------
+
+TEST(MvccTest, FreshPlatformPublishesVersionOne) {
+  auto created = Tvdp::Create();
+  ASSERT_TRUE(created.ok()) << created.status();
+  Tvdp tvdp = std::move(created).value();
+
+  // Construction publishes: the very first read already has a version.
+  SnapshotRef pin = tvdp.query().PinSnapshot();
+  ASSERT_TRUE(static_cast<bool>(pin));
+  EXPECT_EQ(pin->version, 1u);
+  EXPECT_EQ(pin->FindTable(tables::kImages)->size(), 0u);
+  EXPECT_EQ(tvdp.MvccStats()["version"].AsInt(), 1);
+}
 
 TEST(MvccTest, SnapshotIsolationPinnedReaderSeesPreCommitState) {
   auto created = SeedPlatform(200);
@@ -234,7 +243,7 @@ TEST(MvccTest, ReadsCompleteWhileWriterLockHeld) {
 
   // Grab the writer lock and hold it. Under the old reader-writer scheme
   // every read below would block; with MVCC they must all complete.
-  std::unique_lock<std::shared_mutex> writer(tvdp.mutex());
+  std::unique_lock<std::mutex> writer(tvdp.mutex());
   auto fut = std::async(std::launch::async, [&] {
     EXPECT_EQ(tvdp.image_count(), 50u);
     auto loc = tvdp.ImageLocation(1);
@@ -261,8 +270,6 @@ TEST(MvccTest, VersionAdvancesAndStatsTrack) {
   QueryEngine& engine = tvdp.query();
 
   Json stats = tvdp.MvccStats();
-  EXPECT_TRUE(stats["enabled"].AsBool());
-  EXPECT_TRUE(stats["snapshot_reads"].AsBool());
   int64_t v0 = stats["version"].AsInt();
   EXPECT_GT(v0, 0);
   EXPECT_EQ(stats["pinned_snapshots"].AsInt(), 0);
@@ -358,62 +365,6 @@ TEST(MvccTest, CrashRecoveryRebuildsSamePublishedVersion) {
 
   std::string cmd = "rm -rf '" + dir + "'";
   (void)std::system(cmd.c_str());
-}
-
-// ---------- fallback paths ----------
-
-TEST(MvccTest, LegacyEngineStillServesLockedReads) {
-  // A standalone engine over an externally mutated catalog: unmanaged, so
-  // reads go through the shared-lock path and see live state directly.
-  auto made = storage::MakeTvdpCatalog();
-  ASSERT_TRUE(made.ok());
-  storage::Catalog catalog = std::move(made).value();
-  QueryEngine engine(&catalog);
-  EXPECT_FALSE(engine.managed());
-
-  Row image_row{Value(std::string("img0")), Value(34.02), Value(-118.28),
-                Value(kT0),  Value(kT0),    Value(std::string("upload")),
-                Value(false), Value()};
-  auto id = catalog.Insert(tables::kImages, std::move(image_row));
-  ASSERT_TRUE(id.ok()) << id.status();
-  ASSERT_TRUE(engine.IndexImage(*id).ok());
-
-  auto hits = engine.SpatialRange(
-      geo::BoundingBox::FromCorners({34.0, -118.3}, {34.1, -118.2}));
-  ASSERT_TRUE(hits.ok()) << hits.status();
-  EXPECT_EQ(hits->size(), 1u);
-  EXPECT_EQ((*hits)[0].image_id, *id);
-
-  // Unmanaged engines never publish: a pin yields the empty ref.
-  SnapshotRef pin = engine.PinSnapshot();
-  EXPECT_FALSE(static_cast<bool>(pin));
-}
-
-TEST(MvccTest, SnapshotReadsToggleFallsBackToLockedPath) {
-  auto created = SeedPlatform(80);
-  ASSERT_TRUE(created.ok()) << created.status();
-  Tvdp tvdp = std::move(created).value();
-  QueryEngine& engine = tvdp.query();
-
-  geo::BoundingBox box =
-      geo::BoundingBox::FromCorners({33.99, -118.31}, {34.05, -118.22});
-  auto with_mvcc = engine.SpatialRange(box);
-  ASSERT_TRUE(with_mvcc.ok());
-
-  engine.set_snapshot_reads(false);
-  EXPECT_FALSE(engine.snapshot_reads());
-  auto without_mvcc = engine.SpatialRange(box);
-  ASSERT_TRUE(without_mvcc.ok());
-  ExpectSameHits(*with_mvcc, *without_mvcc);
-
-  auto knn = engine.SpatialKnn(geo::GeoPoint{34.01, -118.29}, 5);
-  ASSERT_TRUE(knn.ok()) << knn.status();
-  EXPECT_EQ(knn->size(), 5u);
-  engine.set_snapshot_reads(true);
-
-  auto knn_mvcc = engine.SpatialKnn(geo::GeoPoint{34.01, -118.29}, 5);
-  ASSERT_TRUE(knn_mvcc.ok());
-  ExpectSameHits(*knn, *knn_mvcc);
 }
 
 // ---------- stress (registered as MvccStress.{asan,tsan} too) ----------

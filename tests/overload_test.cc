@@ -449,15 +449,19 @@ TEST_F(OverloadEngineTest, ExpiredDeadlineRejectsBeforeTouchingIndexes) {
   query::TextualPredicate tp;
   tp.keywords = {"tent"};
   textual.textual = tp;
-  ASSERT_TRUE(engine.Execute(textual).ok());
-  std::string sentinel = engine.last_plan();
+  query::QueryPlan plan;
+  ASSERT_TRUE(
+      engine.Execute(textual, nullptr, query::QueryBudget(), &plan).ok());
+  const std::string sentinel = plan.LegacySummary();
   ASSERT_NE(sentinel.find("seed=textual"), std::string::npos);
 
   RequestContext expired = RequestContext::WithDeadlineMs(0);
-  auto r = engine.Execute(VisualQuery(5), &expired);
+  auto r = engine.Execute(VisualQuery(5), &expired, query::QueryBudget(),
+                          &plan);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(engine.last_plan(), sentinel);
+  EXPECT_EQ(plan.LegacySummary(), sentinel);
+  EXPECT_EQ(plan.seed_family, "textual");
 
   // Single-modality paths reject up front too.
   EXPECT_EQ(engine
@@ -469,7 +473,6 @@ TEST_F(OverloadEngineTest, ExpiredDeadlineRejectsBeforeTouchingIndexes) {
                 .status()
                 .code(),
             StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(engine.last_plan(), sentinel);
 }
 
 TEST_F(OverloadEngineTest, CancelledQueryReportsCancelled) {
@@ -485,16 +488,18 @@ TEST_F(OverloadEngineTest, DegradedBudgetCapsPlanAndStillAnswers) {
   query::QueryBudget budget;
   budget.lsh_probes = 0;
   budget.max_candidates = 4;
-  auto r = tvdp_->ExecuteQuery(VisualQuery(3), nullptr, budget);
+  query::QueryPlan plan;
+  auto r = tvdp_->ExecuteQuery(VisualQuery(3), nullptr, budget, &plan);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_LE(r->size(), 4u);
-  EXPECT_NE(tvdp_->query().last_plan().find("degraded"), std::string::npos)
-      << tvdp_->query().last_plan();
+  EXPECT_NE(plan.LegacySummary().find("degraded"), std::string::npos)
+      << plan.LegacySummary();
 
   // Unbudgeted runs stay full fidelity.
-  auto full = tvdp_->ExecuteQuery(VisualQuery(3));
+  auto full =
+      tvdp_->ExecuteQuery(VisualQuery(3), nullptr, query::QueryBudget(), &plan);
   ASSERT_TRUE(full.ok());
-  EXPECT_EQ(tvdp_->query().last_plan().find("degraded"), std::string::npos);
+  EXPECT_EQ(plan.LegacySummary().find("degraded"), std::string::npos);
 }
 
 // ---------- API integration ----------

@@ -372,18 +372,6 @@ TEST_F(PlannerTest, ExplainIsDeterministic) {
   }
 }
 
-TEST_F(PlannerTest, ExplainNeverTouchesLastPlan) {
-  HybridQuery q;
-  TextualPredicate tp;
-  tp.keywords = {"market"};
-  q.textual = tp;
-  q.temporal = TemporalPredicate{kT0, kT0 + 10 * 60};
-  ASSERT_TRUE(engine().Execute(q).ok());
-  std::string sentinel = engine().last_plan();
-  ASSERT_TRUE(engine().Explain(q).ok());
-  EXPECT_EQ(engine().last_plan(), sentinel);
-}
-
 // ---------- budget ----------
 
 TEST_F(PlannerTest, BudgetCapsCandidatesAndMarksPlan) {

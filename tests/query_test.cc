@@ -268,10 +268,12 @@ TEST_F(QueryEngineTest, HybridSpatialTextual) {
   TextualPredicate tp;
   tp.keywords = {"tent"};
   q.textual = tp;
-  auto hits = engine().Execute(q);
+  QueryPlan plan;
+  auto hits = engine().Execute(q, nullptr, QueryBudget(), &plan);
   ASSERT_TRUE(hits.ok());
   EXPECT_EQ(hits->size(), 20u);
-  EXPECT_FALSE(engine().last_plan().empty());
+  EXPECT_TRUE(plan.executed);
+  EXPECT_FALSE(plan.LegacySummary().empty());
 }
 
 TEST_F(QueryEngineTest, HybridCategoricalTemporal) {
@@ -397,12 +399,13 @@ TEST_F(QueryEngineTest, PlannerSeedsWithMostSelectivePredicate) {
   TextualPredicate tp;
   tp.keywords = {"zebraunicorn"};
   q.textual = tp;
-  auto hits = engine().Execute(q);
+  QueryPlan plan;
+  auto hits = engine().Execute(q, nullptr, QueryBudget(), &plan);
   ASSERT_TRUE(hits.ok());
   ASSERT_EQ(hits->size(), 1u);
   EXPECT_EQ((*hits)[0].image_id, *id);
-  EXPECT_NE(engine().last_plan().find("seed=textual"), std::string::npos)
-      << engine().last_plan();
+  EXPECT_NE(plan.LegacySummary().find("seed=textual"), std::string::npos)
+      << plan.LegacySummary();
 }
 
 TEST_F(QueryEngineTest, SpatialVisualTopKThroughHybridIndex) {

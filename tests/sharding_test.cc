@@ -927,37 +927,18 @@ void SkewShard(ShardManager& mgr, int shard) {
       mgr.shard(shard)->RegisterClassification("skew", {"x"}).ok());
 }
 
-TEST(BroadcastAtomicityTest, LegacyBroadcastIsBlindToIdDivergence) {
-  // The pre-fix regression harness: with atomic broadcasts off, a skewed
-  // shard silently assigns a different classification id and the
-  // fire-and-forget loop reports success anyway.
-  ShardManagerOptions opts = GridOptions(2, 1, 2);
-  opts.atomic_broadcasts = false;
-  auto m = ShardManager::Create(opts);
-  ASSERT_TRUE(m.ok()) << m.status();
-  ShardManager& mgr = **m;
-  SkewShard(mgr, 1);
-
-  auto id = mgr.RegisterClassification("scene", {"clean", "dirty"});
-  ASSERT_TRUE(id.ok()) << id.status();  // the blind spot: no error
-  auto id0 = mgr.shard(0)->ClassificationId("scene");
-  auto id1 = mgr.shard(1)->ClassificationId("scene");
-  ASSERT_TRUE(id0.ok());
-  ASSERT_TRUE(id1.ok());
-  EXPECT_NE(*id0, *id1);  // the fleet diverged and nobody noticed
-
-  Json detail;
-  Status s = mgr.VerifyClassificationConsistency(&detail);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kDataLoss);
-  EXPECT_NE(s.message().find("shard"), std::string::npos);
-}
-
 TEST(BroadcastAtomicityTest, AtomicBroadcastDetectsIdDivergence) {
   auto m = ShardManager::Create(GridOptions(2, 1, 2));
   ASSERT_TRUE(m.ok()) << m.status();
   ShardManager& mgr = **m;
   SkewShard(mgr, 1);
+
+  // The divergence detector sees the skew before any broadcast runs.
+  Json detail;
+  Status s = mgr.VerifyClassificationConsistency(&detail);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss);
+  EXPECT_NE(s.message().find("shard"), std::string::npos);
 
   auto id = mgr.RegisterClassification("scene", {"clean", "dirty"});
   ASSERT_FALSE(id.ok());
@@ -1097,7 +1078,6 @@ TEST(BroadcastAtomicityTest, ReconcileEndpointReportsFleetState) {
   (*m)->SetBroadcastHook({});
   Json stats = api.HandleEnvelope(key, "platform_stats", Json::MakeObject());
   ASSERT_EQ(stats["status"].AsString(), "ok");
-  EXPECT_TRUE(stats["data"]["shards"]["atomic_broadcasts"].AsBool());
   EXPECT_EQ(stats["data"]["shards"]["shards"]
                 .AsArray()[0]["pending_broadcasts"]
                 .AsInt(),
