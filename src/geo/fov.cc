@@ -57,9 +57,10 @@ BoundingBox FieldOfView::SceneLocation() const {
 
 bool FieldOfView::IntersectsBBox(const BoundingBox& box) const {
   if (box.IsEmpty()) return false;
-  if (!SceneLocation().Intersects(box)) return false;
-  // Camera inside the box => definitely intersecting.
+  // Camera inside the box => definitely intersecting. Tested before the
+  // scene MBR, which costs several geodesic destinations.
   if (box.Contains(camera)) return true;
+  if (!SceneLocation().Intersects(box)) return false;
   // Any box corner inside the sector?
   const GeoPoint corners[4] = {
       {box.min_lat, box.min_lon},

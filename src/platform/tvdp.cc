@@ -65,10 +65,10 @@ Status Tvdp::RebuildFromCatalog() {
   // Classification registry: name -> (id, label -> type id).
   TVDP_RETURN_IF_ERROR(RebuildClassificationsUnlocked());
 
-  // Query indexes: every image, then every stored feature vector. The
-  // rebuilt indexes, columnar columns and registry publish as one version.
+  // Query indexes: one pass over each table. The rebuilt indexes,
+  // columnar columns and registry publish as one version.
   CommitScope commit(engine_.get(), &classifications_);
-  return ReindexAllLocked();
+  return engine_->ReindexAllLocked();
 }
 
 Status Tvdp::RebuildClassificationsUnlocked() {
@@ -97,45 +97,6 @@ Status Tvdp::RebuildClassificationsUnlocked() {
   return Status::OK();
 }
 
-Status Tvdp::ReindexAllLocked() {
-  storage::Catalog& cat = catalog();
-  Status index_status = Status::OK();
-  const storage::Table* images = cat.GetTable(tables::kImages);
-  images->ForEach([&](const Row& r) {
-    index_status = engine_->IndexImageLocked(r[0].AsInt64());
-    return index_status.ok();
-  });
-  TVDP_RETURN_IF_ERROR(index_status);
-  const storage::Table* feats = cat.GetTable(tables::kImageVisualFeatures);
-  const storage::Schema& fs = feats->schema();
-  size_t img_idx = static_cast<size_t>(fs.ColumnIndex("image_id"));
-  size_t kind_idx = static_cast<size_t>(fs.ColumnIndex("feature_kind"));
-  size_t feat_idx = static_cast<size_t>(fs.ColumnIndex("feature"));
-  feats->ForEach([&](const Row& r) {
-    index_status = engine_->IndexFeatureLocked(r[img_idx].AsInt64(),
-                                               r[kind_idx].AsString(),
-                                               r[feat_idx].AsFloatVector());
-    return index_status.ok();
-  });
-  TVDP_RETURN_IF_ERROR(index_status);
-  // Columnar annotation hot columns (IndexImageLocked mirrors the images
-  // table; annotations have no index, only the column mirror).
-  const storage::Table* ann = cat.GetTable(tables::kImageContentAnnotation);
-  if (ann) {
-    const storage::Schema& as = ann->schema();
-    size_t a_img = static_cast<size_t>(as.ColumnIndex("image_id"));
-    size_t a_type = static_cast<size_t>(as.ColumnIndex("type_id"));
-    size_t a_conf = static_cast<size_t>(as.ColumnIndex("confidence"));
-    size_t a_src = static_cast<size_t>(as.ColumnIndex("annotation_source"));
-    ann->ForEach([&](const Row& r) {
-      engine_->NoteAnnotationLocked(r[a_img].AsInt64(), r[a_type].AsInt64(),
-                                    r[a_conf].AsDouble(), r[a_src].AsString());
-      return true;
-    });
-  }
-  return Status::OK();
-}
-
 Result<int64_t> Tvdp::InsertRow(const std::string& table, storage::Row row) {
   if (fenced_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition(
@@ -143,17 +104,17 @@ Result<int64_t> Tvdp::InsertRow(const std::string& table, storage::Row row) {
         std::to_string(epoch_.load(std::memory_order_relaxed)) +
         "): write rejected");
   }
-  storage::Row observed;
-  if (mutation_observer_) observed = row;  // copy only when someone listens
   TVDP_ASSIGN_OR_RETURN(int64_t id,
                         durable_ ? durable_->Insert(table, std::move(row))
                                  : catalog_->Insert(table, std::move(row)));
   engine_->MarkTableDirtyLocked(table);
+  TVDP_ASSIGN_OR_RETURN(Row stored, catalog().GetTable(table)->Get(id));
   if (mutation_observer_) {
-    storage::WalRecord record{table, id, std::move(observed)};
+    storage::WalRecord record{table, id, Row(stored.begin() + 1, stored.end())};
     record.epoch = epoch_.load(std::memory_order_relaxed);
     mutation_observer_(record);
   }
+  TVDP_RETURN_IF_ERROR(engine_->IndexRowLocked(table, stored));
   return id;
 }
 
@@ -224,7 +185,6 @@ Result<int64_t> Tvdp::IngestImage(const ImageRecord& record) {
                   Row{Value(image_id), Value(kw)})
             .status());
   }
-  TVDP_RETURN_IF_ERROR(engine_->IndexImageLocked(image_id));
   return image_id;
 }
 
@@ -355,25 +315,17 @@ Result<int64_t> Tvdp::AnnotateImage(int64_t image_id,
           annotation.region ? Value(int64_t{(*annotation.region)[1]}) : Value(),
           annotation.region ? Value(int64_t{(*annotation.region)[2]}) : Value(),
           annotation.region ? Value(int64_t{(*annotation.region)[3]}) : Value()};
-  TVDP_ASSIGN_OR_RETURN(
-      int64_t ann_id,
-      InsertRow(tables::kImageContentAnnotation, std::move(row)));
-  engine_->NoteAnnotationLocked(image_id, label_it->second,
-                                annotation.confidence,
-                                annotation.machine ? "machine" : "manual");
-  return ann_id;
+  return InsertRow(tables::kImageContentAnnotation, std::move(row));
 }
 
 Status Tvdp::StoreFeature(int64_t image_id, const std::string& kind,
                           const ml::FeatureVector& feature) {
   if (feature.empty()) return Status::InvalidArgument("empty feature");
   CommitScope commit(engine_.get());
-  TVDP_RETURN_IF_ERROR(
-      InsertRow(tables::kImageVisualFeatures,
-                Row{Value(image_id), Value(kind),
-                    Value(std::vector<double>(feature))})
-          .status());
-  return engine_->IndexFeatureLocked(image_id, kind, feature);
+  return InsertRow(tables::kImageVisualFeatures,
+                   Row{Value(image_id), Value(kind),
+                       Value(std::vector<double>(feature))})
+      .status();
 }
 
 Result<std::vector<query::QueryHit>> Tvdp::ExecuteQuery(
@@ -661,9 +613,8 @@ Status Tvdp::RemoveImages(const std::vector<int64_t>& ids) {
     if (!images->Exists(id)) continue;
     TVDP_RETURN_IF_ERROR(DeleteRow(tables::kImages, id));
   }
-  // The indexes have no per-record delete: reset and re-index survivors.
-  engine_->ResetIndexesLocked();
-  return ReindexAllLocked();
+  // The indexes have no per-record delete: re-index the survivors.
+  return engine_->ReindexAllLocked();
 }
 
 void Tvdp::SetMutationObserver(
@@ -678,100 +629,44 @@ Result<size_t> Tvdp::ApplyReplicated(
   // how the primary's writer lock made each source mutation visible.
   CommitScope commit(engine_.get(), &classifications_);
   size_t applied = 0;
-  std::vector<int64_t> new_images;
-  std::vector<const storage::WalRecord*> new_features;
-  std::vector<const storage::WalRecord*> new_annotations;
   bool registry_dirty = false;
   bool saw_delete = false;
   for (const storage::WalRecord& rec : records) {
-    if (rec.type == storage::WalRecordType::kDelete) {
-      storage::Table* t = catalog().GetTable(rec.table);
-      if (!t) {
-        return Status::IOError("replicated delete references unknown table " +
-                               rec.table);
-      }
-      if (!t->Exists(rec.row_id)) continue;  // already applied
-      if (durable_) {
-        TVDP_RETURN_IF_ERROR(durable_->Delete(rec.table, rec.row_id));
-      } else {
-        TVDP_RETURN_IF_ERROR(t->Delete(rec.row_id));
-      }
-      engine_->MarkTableDirtyLocked(rec.table);
-      saw_delete = true;
-      ++applied;
+    if (rec.type != storage::WalRecordType::kInsert &&
+        rec.type != storage::WalRecordType::kDelete) {
       continue;
     }
-    if (rec.type != storage::WalRecordType::kInsert) continue;
-    if (durable_) {
-      Status s = durable_->RestoreInsert(rec.table, rec.row_id, rec.values);
-      if (s.code() == StatusCode::kAlreadyExists) continue;
-      TVDP_RETURN_IF_ERROR(s);
+    storage::Table* t = catalog().GetTable(rec.table);
+    if (!t) {
+      return Status::IOError("replicated record references unknown table " +
+                             rec.table);
+    }
+    if (rec.type == storage::WalRecordType::kDelete) {
+      if (!t->Exists(rec.row_id)) continue;  // already applied
+      TVDP_RETURN_IF_ERROR(durable_ ? durable_->Delete(rec.table, rec.row_id)
+                                    : t->Delete(rec.row_id));
+      saw_delete = true;
     } else {
-      storage::Table* t = catalog().GetTable(rec.table);
-      if (!t) {
-        return Status::IOError("replicated insert references unknown table " +
-                               rec.table);
-      }
       if (t->Exists(rec.row_id)) continue;  // already applied
       Row full;
       full.reserve(rec.values.size() + 1);
       full.push_back(Value(rec.row_id));
-      for (const Value& v : rec.values) full.push_back(v);
-      TVDP_RETURN_IF_ERROR(t->RestoreRow(std::move(full)));
+      full.insert(full.end(), rec.values.begin(), rec.values.end());
+      TVDP_RETURN_IF_ERROR(
+          durable_ ? durable_->RestoreInsert(rec.table, rec.row_id, rec.values)
+                   : t->RestoreRow(full));
+      // Indexed as it lands, so where the shipper cut the batches (an
+      // image row alone, its FOV and keywords in the next) cannot matter.
+      TVDP_RETURN_IF_ERROR(engine_->IndexRowLocked(rec.table, full));
     }
     engine_->MarkTableDirtyLocked(rec.table);
     ++applied;
-    if (rec.table == tables::kImages) {
-      new_images.push_back(rec.row_id);
-    } else if (rec.table == tables::kImageVisualFeatures) {
-      new_features.push_back(&rec);
-    } else if (rec.table == tables::kImageContentAnnotation) {
-      new_annotations.push_back(&rec);
-    } else if (rec.table == tables::kImageContentClassification ||
-               rec.table == tables::kImageContentClassificationTypes) {
-      registry_dirty = true;
-    }
+    registry_dirty = registry_dirty ||
+                     rec.table == tables::kImageContentClassification ||
+                     rec.table == tables::kImageContentClassificationTypes;
   }
-  if (saw_delete) {
-    // Deletes have no per-record index removal: rebuild from survivors
-    // (this also repopulates the columnar annotation mirror).
-    engine_->ResetIndexesLocked();
-    TVDP_RETURN_IF_ERROR(ReindexAllLocked());
-  } else {
-    for (int64_t id : new_images) {
-      TVDP_RETURN_IF_ERROR(engine_->IndexImageLocked(id));
-    }
-    if (!new_features.empty()) {
-      const storage::Table* feats =
-          catalog().GetTable(tables::kImageVisualFeatures);
-      const storage::Schema& s = feats->schema();
-      // rec.values holds the non-id columns: schema index minus the id slot.
-      size_t img_idx = static_cast<size_t>(s.ColumnIndex("image_id")) - 1;
-      size_t kind_idx = static_cast<size_t>(s.ColumnIndex("feature_kind")) - 1;
-      size_t feat_idx = static_cast<size_t>(s.ColumnIndex("feature")) - 1;
-      for (const storage::WalRecord* rec : new_features) {
-        TVDP_RETURN_IF_ERROR(engine_->IndexFeatureLocked(
-            rec->values[img_idx].AsInt64(), rec->values[kind_idx].AsString(),
-            rec->values[feat_idx].AsFloatVector()));
-      }
-    }
-    if (!new_annotations.empty()) {
-      const storage::Table* ann =
-          catalog().GetTable(tables::kImageContentAnnotation);
-      const storage::Schema& s = ann->schema();
-      size_t img_idx = static_cast<size_t>(s.ColumnIndex("image_id")) - 1;
-      size_t type_idx = static_cast<size_t>(s.ColumnIndex("type_id")) - 1;
-      size_t conf_idx = static_cast<size_t>(s.ColumnIndex("confidence")) - 1;
-      size_t src_idx =
-          static_cast<size_t>(s.ColumnIndex("annotation_source")) - 1;
-      for (const storage::WalRecord* rec : new_annotations) {
-        engine_->NoteAnnotationLocked(rec->values[img_idx].AsInt64(),
-                                      rec->values[type_idx].AsInt64(),
-                                      rec->values[conf_idx].AsDouble(),
-                                      rec->values[src_idx].AsString());
-      }
-    }
-  }
+  // Deletes have no per-record index removal: rebuild from survivors.
+  if (saw_delete) TVDP_RETURN_IF_ERROR(engine_->ReindexAllLocked());
   if (registry_dirty) {
     TVDP_RETURN_IF_ERROR(RebuildClassificationsUnlocked());
   }

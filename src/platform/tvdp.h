@@ -296,10 +296,6 @@ class Tvdp {
   /// in-memory catalog.
   Status DeleteRow(const std::string& table, storage::RowId id);
 
-  /// Re-indexes every image and feature row (caller holds mutex()
-  /// exclusively; the indexes must be empty).
-  Status ReindexAllLocked();
-
   /// Rebuilds query indexes and the classification registry from the
   /// recovered catalog after a durable Open.
   Status RebuildFromCatalog();

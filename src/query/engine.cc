@@ -56,12 +56,6 @@ void QueryEngine::MarkTableDirtyLocked(const std::string& table) {
   dirty_tables_.insert(table);
 }
 
-void QueryEngine::NoteAnnotationLocked(int64_t image_id, int64_t type_id,
-                                       double confidence,
-                                       const std::string& source) {
-  col_annotations_.Append(image_id, type_id, confidence, source);
-}
-
 void QueryEngine::SetClassMapLocked(const ClassMap& m) {
   class_map_ = std::make_shared<const ClassMap>(m);
   dirty_classes_ = true;
@@ -69,7 +63,7 @@ void QueryEngine::SetClassMapLocked(const ClassMap& m) {
 
 void QueryEngine::PublishLocked() {
   std::shared_ptr<const EngineSnapshot> prev = snapshot_.load();
-  bool dirty = all_dirty_ || !prev || !dirty_tables_.empty() ||
+  bool dirty = !prev || !dirty_tables_.empty() ||
                !dirty_feature_kinds_.empty() || dirty_points_ || dirty_fovs_ ||
                dirty_temporal_ || dirty_keywords_ || dirty_classes_;
   if (!dirty) return;
@@ -81,7 +75,7 @@ void QueryEngine::PublishLocked() {
   // one or two tables; the rest are shared with the previous version.
   for (const std::string& name : catalog_->TableNames()) {
     const Table* t = catalog_->GetTable(name);
-    bool reuse = prev && !all_dirty_ && !dirty_tables_.count(name) &&
+    bool reuse = prev && !dirty_tables_.count(name) &&
                  prev->tables.count(name);
     if (reuse) {
       snap->tables[name] = prev->tables.at(name);
@@ -102,28 +96,28 @@ void QueryEngine::PublishLocked() {
       prev ? prev->col_annotations.get() : nullptr, &shared, &copied);
 
   // Indexes: cloned only when this write section touched them.
-  if (!prev || all_dirty_ || dirty_points_) {
+  if (!prev || dirty_points_) {
     snap->points = std::make_shared<const index::RTree>(points_.Clone());
     copied += EstimateIndexBytes(points_.size());
   } else {
     snap->points = prev->points;
     shared += EstimateIndexBytes(points_.size());
   }
-  if (!prev || all_dirty_ || dirty_fovs_) {
+  if (!prev || dirty_fovs_) {
     snap->fovs = std::make_shared<const index::OrientedRTree>(fovs_.Clone());
     copied += EstimateIndexBytes(fovs_.size());
   } else {
     snap->fovs = prev->fovs;
     shared += EstimateIndexBytes(fovs_.size());
   }
-  if (!prev || all_dirty_ || dirty_temporal_) {
+  if (!prev || dirty_temporal_) {
     snap->temporal = std::make_shared<const index::TemporalIndex>(temporal_);
     copied += EstimateIndexBytes(temporal_.size());
   } else {
     snap->temporal = prev->temporal;
     shared += EstimateIndexBytes(temporal_.size());
   }
-  if (!prev || all_dirty_ || dirty_keywords_) {
+  if (!prev || dirty_keywords_) {
     snap->keywords = std::make_shared<const index::InvertedIndex>(keywords_);
     copied += EstimateIndexBytes(keywords_.document_count());
   } else {
@@ -131,7 +125,7 @@ void QueryEngine::PublishLocked() {
     shared += EstimateIndexBytes(keywords_.document_count());
   }
   for (const auto& [kind, lsh] : lsh_) {
-    bool reuse = prev && !all_dirty_ && !dirty_feature_kinds_.count(kind) &&
+    bool reuse = prev && !dirty_feature_kinds_.count(kind) &&
                  prev->lsh.count(kind);
     if (reuse) {
       snap->lsh[kind] = prev->lsh.at(kind);
@@ -142,7 +136,7 @@ void QueryEngine::PublishLocked() {
     }
   }
   for (const auto& [kind, tree] : visual_rtree_) {
-    bool reuse = prev && !all_dirty_ && !dirty_feature_kinds_.count(kind) &&
+    bool reuse = prev && !dirty_feature_kinds_.count(kind) &&
                  prev->visual_rtree.count(kind);
     if (reuse) {
       snap->visual_rtree[kind] = prev->visual_rtree.at(kind);
@@ -170,7 +164,6 @@ void QueryEngine::PublishLocked() {
   dirty_feature_kinds_.clear();
   dirty_points_ = dirty_fovs_ = dirty_temporal_ = dirty_keywords_ = false;
   dirty_classes_ = false;
-  all_dirty_ = false;
 }
 
 Json QueryEngine::MvccStatsJson() const {
@@ -188,73 +181,74 @@ Json QueryEngine::MvccStatsJson() const {
   return out;
 }
 
-Status QueryEngine::IndexImageLocked(RowId image_id) {
+Status QueryEngine::IndexRowLocked(const std::string& table, const Row& row) {
   const Table* images = catalog_->GetTable(tables::kImages);
-  if (!images) return Status::FailedPrecondition("images table missing");
+  const Table* source = catalog_->GetTable(table);
+  if (!images || !source) return Status::FailedPrecondition("table missing");
+  const storage::Schema& schema = source->schema();
+  auto col = [&](const char* name) -> const Value& {
+    return row[static_cast<size_t>(schema.ColumnIndex(name))];
+  };
+
+  if (table == tables::kImages) {
+    RowId id = row[0].AsInt64();
+    double lat = col("lat").AsDouble();
+    double lon = col("lon").AsDouble();
+    Timestamp captured = col("timestamp_capturing").AsInt64();
+    geo::BoundingBox point_box;
+    point_box.min_lat = point_box.max_lat = lat;
+    point_box.min_lon = point_box.max_lon = lon;
+    TVDP_RETURN_IF_ERROR(points_.Insert(point_box, id));
+    temporal_.Insert(captured, id);
+    col_images_.Append(id, lat, lon, captured);
+    ++indexed_images_;
+    dirty_points_ = dirty_temporal_ = true;
+    return Status::OK();
+  }
+  if (table == tables::kImageContentAnnotation) {
+    col_annotations_.Append(col("image_id").AsInt64(), col("type_id").AsInt64(),
+                            col("confidence").AsDouble(),
+                            col("annotation_source").AsString());
+    return Status::OK();
+  }
+  if (table != tables::kImageFov && table != tables::kImageManualKeywords &&
+      table != tables::kImageVisualFeatures) {
+    return Status::OK();
+  }
+
+  // Rows that describe an image are indexed only while the image exists.
+  RowId image_id = col("image_id").AsInt64();
+  if (!images->Exists(image_id)) return Status::OK();
+  if (table == tables::kImageManualKeywords) {
+    // The inverted index accumulates per id, so one image's keyword rows
+    // add up to the document its whole keyword list would make.
+    std::vector<std::string> terms = TokenizeWords(col("keyword").AsString());
+    if (terms.empty()) return Status::OK();
+    dirty_keywords_ = true;
+    return keywords_.AddDocument(image_id, terms);
+  }
+
+  // FOVs and features are placed at the camera: a primary-key lookup.
   TVDP_ASSIGN_OR_RETURN(Row img, images->Get(image_id));
-  const storage::Schema& schema = images->schema();
-  double lat = img[static_cast<size_t>(schema.ColumnIndex("lat"))].AsDouble();
-  double lon = img[static_cast<size_t>(schema.ColumnIndex("lon"))].AsDouble();
-  Timestamp captured =
-      img[static_cast<size_t>(schema.ColumnIndex("timestamp_capturing"))]
-          .AsInt64();
-
-  geo::GeoPoint location{lat, lon};
-  geo::BoundingBox point_box;
-  point_box.min_lat = point_box.max_lat = lat;
-  point_box.min_lon = point_box.max_lon = lon;
-  TVDP_RETURN_IF_ERROR(points_.Insert(point_box, image_id));
-  temporal_.Insert(captured, image_id);
-  dirty_points_ = true;
-  dirty_temporal_ = true;
-
-  // FOV rows (0 or 1 per image in practice).
-  const Table* fov_table = catalog_->GetTable(tables::kImageFov);
-  if (fov_table) {
-    TVDP_ASSIGN_OR_RETURN(std::vector<Row> fov_rows,
-                          fov_table->FindBy("image_id", Value(image_id)));
-    const storage::Schema& fs = fov_table->schema();
-    for (const Row& r : fov_rows) {
-      TVDP_ASSIGN_OR_RETURN(
-          geo::FieldOfView fov,
-          geo::FieldOfView::Make(
-              location,
-              r[static_cast<size_t>(fs.ColumnIndex("direction_deg"))].AsDouble(),
-              r[static_cast<size_t>(fs.ColumnIndex("angle_deg"))].AsDouble(),
-              r[static_cast<size_t>(fs.ColumnIndex("radius_m"))].AsDouble()));
-      TVDP_RETURN_IF_ERROR(fovs_.Insert(fov, image_id));
-      dirty_fovs_ = true;
-    }
+  const storage::Schema& is = images->schema();
+  geo::GeoPoint camera{
+      img[static_cast<size_t>(is.ColumnIndex("lat"))].AsDouble(),
+      img[static_cast<size_t>(is.ColumnIndex("lon"))].AsDouble()};
+  if (table == tables::kImageFov) {
+    TVDP_ASSIGN_OR_RETURN(
+        geo::FieldOfView fov,
+        geo::FieldOfView::Make(camera, col("direction_deg").AsDouble(),
+                               col("angle_deg").AsDouble(),
+                               col("radius_m").AsDouble()));
+    dirty_fovs_ = true;
+    return fovs_.Insert(fov, image_id);
   }
-
-  // Keywords.
-  const Table* kw_table = catalog_->GetTable(tables::kImageManualKeywords);
-  if (kw_table) {
-    TVDP_ASSIGN_OR_RETURN(std::vector<Row> kw_rows,
-                          kw_table->FindBy("image_id", Value(image_id)));
-    const storage::Schema& ks = kw_table->schema();
-    std::vector<std::string> terms;
-    for (const Row& r : kw_rows) {
-      for (const std::string& t : TokenizeWords(
-               r[static_cast<size_t>(ks.ColumnIndex("keyword"))].AsString())) {
-        terms.push_back(t);
-      }
-    }
-    if (!terms.empty()) {
-      TVDP_RETURN_IF_ERROR(keywords_.AddDocument(image_id, terms));
-      dirty_keywords_ = true;
-    }
-  }
-  col_images_.Append(image_id, lat, lon, captured);
-  ++indexed_images_;
-  return Status::OK();
-}
-
-Status QueryEngine::IndexFeatureLocked(RowId image_id, const std::string& kind,
-                                       const ml::FeatureVector& feature) {
+  const ml::FeatureVector& feature = col("feature").AsFloatVector();
+  const std::string& kind = col("feature_kind").AsString();
   if (feature.empty()) return Status::InvalidArgument("empty feature");
   auto lsh_it = lsh_.find(kind);
   if (lsh_it == lsh_.end()) {
+    // The first vector of a kind fixes its dimensionality.
     index::LshIndex::Options lsh_options;
     lsh_options.pool = pool_;
     lsh_it = lsh_.emplace(kind, std::make_shared<index::LshIndex>(
@@ -266,18 +260,10 @@ Status QueryEngine::IndexFeatureLocked(RowId image_id, const std::string& kind,
   }
   TVDP_RETURN_IF_ERROR(lsh_it->second->Insert(feature, image_id));
   dirty_feature_kinds_.insert(kind);
-
-  // Fetch the image location for the hybrid tree.
-  const Table* images = catalog_->GetTable(tables::kImages);
-  TVDP_ASSIGN_OR_RETURN(Row img, images->Get(image_id));
-  const storage::Schema& schema = images->schema();
-  geo::GeoPoint loc{
-      img[static_cast<size_t>(schema.ColumnIndex("lat"))].AsDouble(),
-      img[static_cast<size_t>(schema.ColumnIndex("lon"))].AsDouble()};
-  return visual_rtree_[kind]->Insert(loc, feature, image_id);
+  return visual_rtree_[kind]->Insert(camera, feature, image_id);
 }
 
-void QueryEngine::ResetIndexesLocked() {
+Status QueryEngine::ReindexAllLocked() {
   points_ = index::RTree();
   fovs_ = index::OrientedRTree(index::OrientedRTree::Options{16, pool_});
   temporal_ = index::TemporalIndex();
@@ -287,7 +273,17 @@ void QueryEngine::ResetIndexesLocked() {
   col_images_.Clear();
   col_annotations_.Clear();
   indexed_images_ = 0;
-  all_dirty_ = true;
+  // An index left empty must still replace its published predecessor.
+  dirty_points_ = dirty_fovs_ = dirty_temporal_ = dirty_keywords_ = true;
+  for (const std::string& name : catalog_->TableNames()) {
+    Status status = Status::OK();
+    catalog_->GetTable(name)->ForEach([&](const Row& r) {
+      status = IndexRowLocked(name, r);
+      return status.ok();
+    });
+    TVDP_RETURN_IF_ERROR(status);
+  }
+  return Status::OK();
 }
 
 Result<std::vector<QueryHit>> QueryEngine::SpatialRange(

@@ -231,26 +231,24 @@ class QueryEngine {
   /// next PublishLocked() re-copies it.
   void MarkTableDirtyLocked(const std::string& table);
 
-  /// Appends one annotation to the columnar hot columns (mirrors the
-  /// annotation-table insert).
-  void NoteAnnotationLocked(int64_t image_id, int64_t type_id,
-                            double confidence, const std::string& source);
-
   /// Installs the classification registry published with the next
   /// snapshot.
   void SetClassMapLocked(const ClassMap& m);
 
-  /// Registers image `image_id` in the spatial/temporal/textual indexes
-  /// and the columnar hot columns, reading its rows from the catalog.
-  Status IndexImageLocked(storage::RowId image_id);
-  /// Registers one visual feature vector of an image. The first vector of
-  /// each kind fixes that kind's dimensionality.
-  Status IndexFeatureLocked(storage::RowId image_id, const std::string& kind,
-                            const ml::FeatureVector& feature);
-  /// Drops every index back to empty. Used by the platform facade after a
-  /// bulk row removal — the indexes have no per-record delete, so the
-  /// facade resets and re-indexes the surviving rows.
-  void ResetIndexesLocked();
+  /// Routes one stored catalog row (id first) to the index its table
+  /// feeds: images -> point R-tree, temporal index, columnar images; FOV ->
+  /// oriented R-tree, placed at the image's camera; keywords -> inverted
+  /// index; features -> the kind's LSH and visual R-tree (the first vector
+  /// of a kind fixes its dimensionality); annotations -> columnar
+  /// annotations. Other tables, and FOV/keyword/feature rows whose image
+  /// is gone, index nothing. Every write path calls it as a row lands, so
+  /// each index receives its own table's rows in storage order, and a
+  /// rebuilt engine equals the one that ingested row by row.
+  Status IndexRowLocked(const std::string& table, const storage::Row& row);
+  /// Empties every index and replays each table once through
+  /// IndexRowLocked: O(rows). Runs after a durable Open and after deletes
+  /// (the indexes have no per-record delete).
+  Status ReindexAllLocked();
 
   storage::Catalog* catalog_;
   ThreadPool* pool_;
@@ -280,7 +278,6 @@ class QueryEngine {
   bool dirty_temporal_ = false;
   bool dirty_keywords_ = false;
   bool dirty_classes_ = false;
-  bool all_dirty_ = false;
 
   // --- MVCC publication state ---
   /// The published root. Readers load-acquire and pin; writers

@@ -102,18 +102,18 @@ Result<std::vector<QueryHit>> EvalSpatialRange(const AccessPaths& access,
   if (ctx) TVDP_RETURN_IF_ERROR(ctx->Check());
   // Prefer FOV semantics when FOVs exist; union with camera-point hits so
   // images without FOV metadata still surface.
-  std::set<index::RecordId> ids;
-  std::vector<index::RecordId> fov_hits = access.fovs->RangeSearch(box, ctx);
+  std::vector<index::RecordId> ids = access.fovs->RangeSearch(box, ctx);
   if (ctx) {
     Status s = ctx->Check();
     if (!s.ok()) {
-      return ContextError(s, "spatial range refine", fov_hits.size(),
-                          fov_hits.size());
+      return ContextError(s, "spatial range refine", ids.size(), ids.size());
     }
   }
-  for (index::RecordId id : fov_hits) ids.insert(id);
-  for (index::RecordId id : access.points->RangeSearch(box)) ids.insert(id);
-  return ToHits(std::vector<index::RecordId>(ids.begin(), ids.end()));
+  std::vector<index::RecordId> points = access.points->RangeSearch(box);
+  ids.insert(ids.end(), points.begin(), points.end());
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ToHits(ids);
 }
 
 Result<std::vector<QueryHit>> EvalSpatialKnn(const AccessPaths& access,
@@ -539,9 +539,10 @@ class VerifyOp : public Operator {
       if (c.strategy != ConjunctPlan::Strategy::kMaterializeProbe) continue;
       Result<std::vector<QueryHit>> probed =
           c.family == "categorical" ? EvalCategorical(access_, *q_.categorical)
-          : c.family == "textual"
-              ? EvalTextual(access_, *q_.textual)
-              : EvalVisibleAt(access_, q_.spatial->point, nullptr);
+          : c.family == "textual" ? EvalTextual(access_, *q_.textual)
+          : q_.spatial->kind == SpatialPredicate::Kind::kVisibleAt
+              ? EvalVisibleAt(access_, q_.spatial->point, nullptr)
+              : EvalSpatialRange(access_, q_.spatial->range, nullptr);
       TVDP_RETURN_IF_ERROR(probed.status());
       std::unordered_set<int64_t>& ids = materialized_[c.family];
       ids.reserve(probed->size());
@@ -561,9 +562,9 @@ class VerifyOp : public Operator {
   }
 
   /// Verifies one candidate against every non-seed conjunct, in the
-  /// plan's evaluation order (cheapest rejector first). The temporal and
-  /// spatial checks read the columnar hot columns when current; a columnar
-  /// miss (or stale columnar) fetches the image row, so a dangling
+  /// plan's evaluation order (cheapest rejector first). The temporal
+  /// check reads the columnar hot columns when current; a columnar miss
+  /// (or stale columnar) fetches the image row, so a dangling
   /// candidate id is a storage error surfaced to the caller, never
   /// silently dropped.
   Result<bool> VerifyOne(RowId id, double* visual_distance) {
@@ -597,24 +598,6 @@ class VerifyOp : public Operator {
                              schema.ColumnIndex("timestamp_capturing"))]
                       .AsInt64();
         if (t < q_.temporal->begin || t > q_.temporal->end) return false;
-      } else if (c.family == "spatial") {
-        // Only the range kind reaches here: kNN always seeds, and
-        // visible-at is a materialize-probe.
-        geo::GeoPoint loc =
-            slot >= 0
-                ? geo::GeoPoint{access_.col_images->lat(
-                                    static_cast<size_t>(slot)),
-                                access_.col_images->lon(
-                                    static_cast<size_t>(slot))}
-                : geo::GeoPoint{
-                      (*img)[static_cast<size_t>(schema.ColumnIndex("lat"))]
-                          .AsDouble(),
-                      (*img)[static_cast<size_t>(schema.ColumnIndex("lon"))]
-                          .AsDouble()};
-        if (q_.spatial->kind == SpatialPredicate::Kind::kRange &&
-            !q_.spatial->range.Contains(loc)) {
-          return false;
-        }
       } else if (c.family == "visual") {
         // Exact feature distance from the stored feature rows. An image
         // can store several vectors of the same kind; membership and the

@@ -86,17 +86,13 @@ std::string ProbeDetail(const HybridQuery& q, const std::string& family,
 }
 
 /// Strategy for a conjunct in the verify role. Set-valued conjuncts
-/// (categorical, textual, spatial visible-at) cost a full index/table
-/// probe per check, so they are probed once into an id set; row-valued
-/// conjuncts (temporal, spatial range, visual distance) are O(1) against
-/// the already-fetched catalog row and stay per-candidate scans.
-ConjunctPlan::Strategy VerifyStrategy(const HybridQuery& q,
-                                      const std::string& family) {
-  if (family == "categorical" || family == "textual") {
-    return ConjunctPlan::Strategy::kMaterializeProbe;
-  }
-  if (family == "spatial" &&
-      q.spatial->kind == SpatialPredicate::Kind::kVisibleAt) {
+/// (categorical, textual, spatial range and visible-at, whose FOV
+/// membership only the FOV index answers) are probed once into an id set;
+/// row-valued conjuncts (temporal, visual distance) are O(1) against the
+/// already-fetched catalog row and stay per-candidate scans. Spatial kNN
+/// never verifies: it always seeds.
+ConjunctPlan::Strategy VerifyStrategy(const std::string& family) {
+  if (family == "categorical" || family == "textual" || family == "spatial") {
     return ConjunctPlan::Strategy::kMaterializeProbe;
   }
   return ConjunctPlan::Strategy::kVerifyScan;
@@ -288,7 +284,7 @@ Result<QueryPlan> Planner::BuildPlan(const AccessPaths& access,
   for (const auto& [est, f] : verify_order) {
     ConjunctPlan c;
     c.family = f;
-    c.strategy = VerifyStrategy(q, f);
+    c.strategy = VerifyStrategy(f);
     c.estimated_rows = est;
     plan.conjuncts.push_back(c);
   }

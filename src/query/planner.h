@@ -71,9 +71,9 @@ struct PlannerOptions {
 ///     are forced to seed: spatial kNN outranks visual top-k); remaining
 ///     conjuncts are ordered by ascending estimate and assigned a
 ///     strategy: materialize-probe (one index probe into an id set) for
-///     set-valued conjuncts (categorical, textual, visible-at), or
-///     verify-scan (per-candidate catalog row check) for conjuncts whose
-///     check is O(1) per row (temporal, spatial range, visual distance).
+///     set-valued conjuncts (categorical, textual, spatial range and
+///     visible-at), or verify-scan (per-candidate catalog row check) for
+///     conjuncts whose check is O(1) per row (temporal, visual distance).
 ///
 /// Plans are deterministic: same query + same corpus state -> same plan.
 class Planner {

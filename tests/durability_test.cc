@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "common/crc32.h"
 #include "common/file.h"
+#include "common/json.h"
+#include "platform/api.h"
+#include "platform/model_registry.h"
 #include "platform/tvdp.h"
 #include "storage/durable_catalog.h"
 #include "storage/serializer.h"
@@ -679,6 +683,136 @@ TEST_F(DurabilityTest, TvdpReopenRecoversImagesAnnotationsAndIndexes) {
   auto id2 = tvdp.IngestImage(rec2);
   ASSERT_TRUE(id2.ok());
   EXPECT_EQ(*id2, 2);
+}
+
+/// A corpus covering every indexed row shape: images with and without an
+/// FOV; 0, 1 or 3 keyword rows per image, with "street" repeated across
+/// rows and multi-word keywords; two feature kinds (the second on every
+/// other image); one or two annotations per image.
+void BuildRebuildCorpus(platform::Tvdp* tvdp) {
+  ASSERT_TRUE(tvdp->RegisterClassification("scene",
+                                           {"clean", "dirty", "encampment"})
+                  .ok());
+  const char* const labels[] = {"clean", "dirty", "encampment"};
+  for (int i = 0; i < 30; ++i) {
+    platform::ImageRecord rec;
+    rec.uri = "img://" + std::to_string(i);
+    rec.location = geo::GeoPoint{34.00 + (i / 6) * 0.002,
+                                 -118.30 + (i % 6) * 0.002};
+    rec.captured_at = 1546300800 + i * 60;
+    if (i % 3 != 0) {
+      auto fov = geo::FieldOfView::Make(rec.location, (i * 47) % 360, 60,
+                                        60 + 5 * i);
+      ASSERT_TRUE(fov.ok());
+      rec.fov = *fov;
+    }
+    if (i % 3 == 1) rec.keywords = {"street"};
+    if (i % 3 == 2) rec.keywords = {"street", "bulky item", "street corner"};
+    auto id = tvdp->IngestImage(rec);
+    ASSERT_TRUE(id.ok()) << id.status();
+    ASSERT_TRUE(tvdp->StoreFeature(*id, "cnn",
+                                   {std::cos(i), std::sin(i), (i % 5) * 0.1,
+                                    1.0})
+                    .ok());
+    if (i % 2 == 0) {
+      ASSERT_TRUE(tvdp->StoreFeature(*id, "hist",
+                                     {static_cast<double>(i % 3),
+                                      static_cast<double>(i % 4), 1.0})
+                      .ok());
+    }
+    platform::AnnotationRecord ann;
+    ann.classification = "scene";
+    ann.label = labels[i % 3];
+    ann.confidence = 0.5 + (i % 10) * 0.05;
+    ann.machine = true;
+    ASSERT_TRUE(tvdp->AnnotateImage(*id, ann).ok());
+    if (i % 5 == 0) {
+      ann.label = "encampment";
+      ann.confidence = 0.6;
+      ann.machine = false;
+      ASSERT_TRUE(tvdp->AnnotateImage(*id, ann).ok());
+    }
+  }
+}
+
+/// search_datasets and explain_query envelopes over every query family,
+/// alone and combined, in a fixed order.
+std::vector<std::string> ApiEnvelopes(platform::Tvdp* tvdp) {
+  const char* const requests[] = {
+      R"({"bbox":[34.0,-118.3,34.005,-118.295]})",
+      R"({"bbox":[34.0001,-118.2978,34.0004,-118.2974],"keywords":["street"]})",
+      R"({"keywords":["street corner"]})",
+      R"({"keywords":["bulky","street"],"keyword_mode":"or","limit":5})",
+      R"({"time_begin":1546301100,"time_end":1546302000})",
+      R"({"bbox":[34.0,-118.3,34.006,-118.292],"classification":"scene",)"
+      R"("label":"encampment","time_begin":1546300800,"time_end":1546301800})",
+      R"({"feature":[1,0,0.2,1],"feature_kind":"cnn","k":5})",
+      R"({"feature":[0,0,1],"feature_kind":"hist","threshold":1.5})",
+      R"({"feature":[1,0,0.2,1],"feature_kind":"cnn","k":5,)"
+      R"("keywords":["street"]})",
+  };
+  platform::ModelRegistry registry;
+  platform::ApiService api(tvdp, &registry);
+  const std::string key = api.CreateApiKey("rebuild");
+  std::vector<std::string> out;
+  for (const char* text : requests) {
+    auto request = Json::Parse(text);
+    EXPECT_TRUE(request.ok()) << text;
+    if (!request.ok()) continue;
+    for (const char* endpoint : {"search_datasets", "explain_query"}) {
+      out.push_back(api.HandleEnvelope(key, endpoint, *request).Dump());
+    }
+  }
+  return out;
+}
+
+TEST_F(DurabilityTest, RebuiltEnginesServeByteIdenticalEnvelopes) {
+  // (a) A reopen without a checkpoint replays the WAL into an engine that
+  // answers exactly like the one that ingested row by row.
+  std::vector<std::string> live;
+  {
+    auto opened = platform::Tvdp::Open(Path("a"));
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    BuildRebuildCorpus(&*opened);
+    live = ApiEnvelopes(&*opened);
+  }
+  for (size_t i = 0; i < live.size(); i += 2) {
+    auto envelope = Json::Parse(live[i]);
+    ASSERT_TRUE(envelope.ok());
+    EXPECT_EQ((*envelope)["status"].AsString(), "ok") << live[i];
+    EXPECT_GT((*envelope)["data"]["count"].AsInt(), 0) << live[i];
+  }
+  {
+    auto reopened = platform::Tvdp::Open(Path("a"));
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    EXPECT_EQ(ApiEnvelopes(&*reopened), live);
+  }
+
+  // (b) The same after RemoveImages rebuilt the live engine's indexes and
+  // one more image was indexed on top of the rebuild.
+  std::vector<std::string> removed;
+  {
+    auto opened = platform::Tvdp::Open(Path("b"));
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    BuildRebuildCorpus(&*opened);
+    ASSERT_TRUE(opened->RemoveImages({2, 9, 16, 25}).ok());
+    platform::ImageRecord rec;
+    rec.uri = "img://late";
+    rec.location = geo::GeoPoint{34.003, -118.297};
+    rec.captured_at = 1546301000;
+    rec.keywords = {"street corner"};
+    auto fov = geo::FieldOfView::Make(rec.location, 200, 90, 120);
+    ASSERT_TRUE(fov.ok());
+    rec.fov = *fov;
+    auto id = opened->IngestImage(rec);
+    ASSERT_TRUE(id.ok()) << id.status();
+    ASSERT_TRUE(opened->StoreFeature(*id, "cnn", {1, 0, 0.2, 1}).ok());
+    removed = ApiEnvelopes(&*opened);
+  }
+  EXPECT_NE(removed, live);
+  auto reopened = platform::Tvdp::Open(Path("b"));
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(ApiEnvelopes(&*reopened), removed);
 }
 
 TEST_F(DurabilityTest, TvdpIngestHitsIoErrorAndStaysUsable) {

@@ -279,6 +279,68 @@ TEST_F(PlannerTest, ForcedSeedOfAbsentFamilyRejected) {
   EXPECT_EQ(hits.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(PlannerFovTest, RangeConjunctKeepsFovOnlyHitsWhateverSeeds) {
+  // Image "reach" stands west of the box and looks east into it: only its
+  // FOV intersects the box. Image "inside" has its camera in the box, and
+  // image "away" neither. A range conjunct must keep "reach" whether it
+  // seeds the plan or verifies another conjunct's candidates.
+  auto created = Tvdp::Create();
+  ASSERT_TRUE(created.ok());
+  Tvdp tvdp = std::move(created).value();
+  ASSERT_TRUE(tvdp.RegisterClassification("scene", {"clean", "dirty"}).ok());
+  const geo::BoundingBox box =
+      geo::BoundingBox::FromCorners({33.9995, -118.2990}, {34.0005, -118.2980});
+  std::vector<int64_t> ids;
+  for (const geo::GeoPoint& camera :
+       {geo::GeoPoint{34.0, -118.3}, geo::GeoPoint{34.0, -118.2985},
+        geo::GeoPoint{34.01, -118.3}}) {
+    ImageRecord rec;
+    rec.location = camera;
+    rec.captured_at = kT0 + static_cast<Timestamp>(ids.size()) * 60;
+    rec.keywords = {"city"};
+    auto fov = geo::FieldOfView::Make(camera, 90, 60, 200);
+    ASSERT_TRUE(fov.ok());
+    rec.fov = *fov;
+    auto id = tvdp.IngestImage(rec);
+    ASSERT_TRUE(id.ok()) << id.status();
+    AnnotationRecord ann;
+    ann.classification = "scene";
+    ann.label = "dirty";
+    ann.confidence = 0.9;
+    ASSERT_TRUE(tvdp.AnnotateImage(*id, ann).ok());
+    ids.push_back(*id);
+  }
+  ASSERT_FALSE(box.Contains(geo::GeoPoint{34.0, -118.3}));
+  const std::set<int64_t> expect{ids[0], ids[1]};
+  auto range = tvdp.query().SpatialRange(box);
+  ASSERT_TRUE(range.ok());
+  ASSERT_EQ(IdSet(*range), expect);
+
+  HybridQuery q;
+  SpatialPredicate sp;
+  sp.kind = SpatialPredicate::Kind::kRange;
+  sp.range = box;
+  q.spatial = sp;
+  TextualPredicate city;
+  city.keywords = {"city"};
+  q.textual = city;
+  CategoricalPredicate dirty;
+  dirty.classification = "scene";
+  dirty.label = "dirty";
+  q.categorical = dirty;
+  q.temporal = TemporalPredicate{kT0, kT0 + 3600};
+  for (const std::string& family : PresentFamilies(q)) {
+    PlannerOptions options;
+    options.force_seed = family;
+    QueryPlan plan;
+    auto hits =
+        tvdp.query().Execute(q, nullptr, QueryBudget(), &plan, options);
+    ASSERT_TRUE(hits.ok()) << hits.status();
+    EXPECT_EQ(plan.seed_family, family);
+    EXPECT_EQ(IdSet(*hits), expect) << "seed=" << family;
+  }
+}
+
 // ---------- estimates ----------
 
 TEST_F(PlannerTest, EstimatesTrackActualCardinalities) {

@@ -233,6 +233,62 @@ TEST(ReplicationUnitTest, AppliedCountersSkipAlreadyAppliedRecords) {
   EXPECT_GT(set.applied_records(0), bootstrapped);
 }
 
+TEST(ReplicationUnitTest, IngestSplitAcrossBatchesIndexesLikeThePrimary) {
+  // ShardManager ships after the writer lock is released, so another
+  // writer's Ship can drain an ingest's image row before its FOV and
+  // keyword rows are captured: the replica then sees them in two batches.
+  auto created = Tvdp::Create();
+  ASSERT_TRUE(created.ok());
+  Tvdp primary = std::move(created).value();
+  std::vector<storage::WalRecord> captured;
+  primary.SetMutationObserver(
+      [&](const storage::WalRecord& r) { captured.push_back(r); });
+  const geo::GeoPoint camera = CellZeroPoint();
+  ImageRecord rec;
+  rec.uri = "split";
+  rec.location = camera;
+  rec.captured_at = kT0;
+  rec.keywords = {"city", "market stall"};
+  auto fov = geo::FieldOfView::Make(camera, 90, 60, 150);
+  ASSERT_TRUE(fov.ok());
+  rec.fov = *fov;
+  ASSERT_TRUE(primary.IngestImage(rec).ok());
+  ASSERT_GT(captured.size(), 1u);
+  ASSERT_EQ(captured[0].table, storage::tables::kImages);
+
+  auto replica = Tvdp::Create();
+  ASSERT_TRUE(replica.ok());
+  ASSERT_TRUE(replica->ApplyReplicated({captured[0]}).ok());
+  ASSERT_TRUE(replica
+                  ->ApplyReplicated(std::vector<storage::WalRecord>(
+                      captured.begin() + 1, captured.end()))
+                  .ok());
+
+  auto ids = [](const Result<std::vector<query::QueryHit>>& hits) {
+    EXPECT_TRUE(hits.ok()) << hits.status();
+    std::vector<int64_t> out;
+    if (hits.ok()) {
+      for (const auto& h : *hits) out.push_back(h.image_id);
+    }
+    return out;
+  };
+  // A point the FOV sees, and a box only the FOV reaches into.
+  const geo::GeoPoint seen = geo::Destination(camera, 90, 100);
+  const geo::BoundingBox ahead = geo::BoundingBox::FromCenterRadius(seen, 20);
+  ASSERT_FALSE(ahead.Contains(camera));
+  query::TextualPredicate market;
+  market.keywords = {"market"};
+  EXPECT_EQ(ids(primary.query().VisibleAt(seen)).size(), 1u);
+  EXPECT_EQ(ids(replica->query().VisibleAt(seen)),
+            ids(primary.query().VisibleAt(seen)));
+  EXPECT_EQ(ids(primary.query().Textual(market)).size(), 1u);
+  EXPECT_EQ(ids(replica->query().Textual(market)),
+            ids(primary.query().Textual(market)));
+  EXPECT_EQ(ids(primary.query().SpatialRange(ahead)).size(), 1u);
+  EXPECT_EQ(ids(replica->query().SpatialRange(ahead)),
+            ids(primary.query().SpatialRange(ahead)));
+}
+
 // ---------------------------------------------------------------------
 // Shipping basics: sync replicas stay caught up, async lag is bounded.
 // ---------------------------------------------------------------------
