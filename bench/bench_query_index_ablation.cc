@@ -177,8 +177,8 @@ void BM_SpatialVisual_ExactScan(benchmark::State& state) {
     feats->ForEach([&](const storage::Row& r) {
       auto img = images->Get(r[img_idx].AsInt64());
       geo::BoundingBox b;
-      b.min_lat = b.max_lat = img->at(lat_idx).AsDouble();
-      b.min_lon = b.max_lon = img->at(lon_idx).AsDouble();
+      b.min_lat = b.max_lat = (*img)->at(lat_idx).AsDouble();
+      b.min_lon = b.max_lon = (*img)->at(lon_idx).AsDouble();
       double score =
           0.7 * index::MinDistDeg(probe, b) / 0.1 +
           0.3 * ml::L2Distance(f.probe_features[j],

@@ -18,7 +18,8 @@ struct ImageMeta {
 
 Result<ImageMeta> FetchMeta(const storage::Table* images, int64_t image_id) {
   if (!images) return Status::FailedPrecondition("images table missing");
-  TVDP_ASSIGN_OR_RETURN(storage::Row row, images->Get(image_id));
+  TVDP_ASSIGN_OR_RETURN(const storage::Row* found, images->Get(image_id));
+  const storage::Row& row = *found;
   const storage::Schema& s = images->schema();
   auto col = [&](const char* name) {
     return static_cast<size_t>(s.ColumnIndex(name));

@@ -65,8 +65,8 @@ Status Tvdp::RebuildFromCatalog() {
   // Classification registry: name -> (id, label -> type id).
   TVDP_RETURN_IF_ERROR(RebuildClassificationsUnlocked());
 
-  // Query indexes: one pass over each table. The rebuilt indexes,
-  // columnar columns and registry publish as one version.
+  // Query indexes: one pass over each table. The rebuilt indexes and
+  // registry publish as one version.
   CommitScope commit(engine_.get(), &classifications_);
   return engine_->ReindexAllLocked();
 }
@@ -108,13 +108,14 @@ Result<int64_t> Tvdp::InsertRow(const std::string& table, storage::Row row) {
                         durable_ ? durable_->Insert(table, std::move(row))
                                  : catalog_->Insert(table, std::move(row)));
   engine_->MarkTableDirtyLocked(table);
-  TVDP_ASSIGN_OR_RETURN(Row stored, catalog().GetTable(table)->Get(id));
+  TVDP_ASSIGN_OR_RETURN(const Row* stored, catalog().GetTable(table)->Get(id));
   if (mutation_observer_) {
-    storage::WalRecord record{table, id, Row(stored.begin() + 1, stored.end())};
+    storage::WalRecord record{table, id,
+                              Row(stored->begin() + 1, stored->end())};
     record.epoch = epoch_.load(std::memory_order_relaxed);
     mutation_observer_(record);
   }
-  TVDP_RETURN_IF_ERROR(engine_->IndexRowLocked(table, stored));
+  TVDP_RETURN_IF_ERROR(engine_->IndexRowLocked(table, *stored));
   return id;
 }
 
@@ -351,7 +352,8 @@ Result<Json> Tvdp::ImageRowJson(int64_t image_id) const {
   query::SnapshotRef snap = engine_->PinSnapshot();
   const storage::Table* images = snap->FindTable(tables::kImages);
   const storage::Schema& s = images->schema();
-  TVDP_ASSIGN_OR_RETURN(Row row, images->Get(image_id));
+  TVDP_ASSIGN_OR_RETURN(const Row* found, images->Get(image_id));
+  const Row& row = *found;
   Json r = Json::MakeObject();
   r["id"] = row[0].AsInt64();
   r["uri"] = row[static_cast<size_t>(s.ColumnIndex("uri"))].AsString();
@@ -439,9 +441,9 @@ Result<std::vector<geo::GeoPoint>> Tvdp::LocationsWithLabel(
   std::vector<geo::GeoPoint> out;
   out.reserve(hits.size());
   for (const auto& h : hits) {
-    TVDP_ASSIGN_OR_RETURN(Row img, images->Get(h.image_id));
+    TVDP_ASSIGN_OR_RETURN(const Row* img, images->Get(h.image_id));
     out.push_back(
-        geo::GeoPoint{img[lat_idx].AsDouble(), img[lon_idx].AsDouble()});
+        geo::GeoPoint{(*img)[lat_idx].AsDouble(), (*img)[lon_idx].AsDouble()});
   }
   return out;
 }
@@ -450,7 +452,8 @@ Result<ImageRecord> Tvdp::ExportImage(int64_t image_id) const {
   query::SnapshotRef snap = engine_->PinSnapshot();
   const storage::Table* images = snap->FindTable(tables::kImages);
   const storage::Schema& s = images->schema();
-  TVDP_ASSIGN_OR_RETURN(Row row, images->Get(image_id));
+  TVDP_ASSIGN_OR_RETURN(const Row* found, images->Get(image_id));
+  const Row& row = *found;
   ImageRecord rec;
   rec.uri = row[static_cast<size_t>(s.ColumnIndex("uri"))].AsString();
   rec.location = geo::GeoPoint{
@@ -499,10 +502,10 @@ Result<geo::GeoPoint> Tvdp::ImageLocation(int64_t image_id) const {
   query::SnapshotRef snap = engine_->PinSnapshot();
   const storage::Table* images = snap->FindTable(tables::kImages);
   const storage::Schema& s = images->schema();
-  TVDP_ASSIGN_OR_RETURN(Row row, images->Get(image_id));
+  TVDP_ASSIGN_OR_RETURN(const Row* row, images->Get(image_id));
   return geo::GeoPoint{
-      row[static_cast<size_t>(s.ColumnIndex("lat"))].AsDouble(),
-      row[static_cast<size_t>(s.ColumnIndex("lon"))].AsDouble()};
+      (*row)[static_cast<size_t>(s.ColumnIndex("lat"))].AsDouble(),
+      (*row)[static_cast<size_t>(s.ColumnIndex("lon"))].AsDouble()};
 }
 
 std::vector<int64_t> Tvdp::ImageIdsMatching(

@@ -46,9 +46,7 @@ AccessPaths QueryEngine::SnapshotPaths(const EngineSnapshot& snap) const {
   paths.keywords = snap.keywords.get();
   paths.lsh = &snap.lsh;
   paths.visual_rtree = &snap.visual_rtree;
-  paths.col_images = snap.col_images.get();
-  paths.col_annotations = snap.col_annotations.get();
-  paths.indexed_images = snap.indexed_images;
+  paths.classifications = snap.classifications.get();
   return paths;
 }
 
@@ -85,15 +83,6 @@ void QueryEngine::PublishLocked() {
       copied += EstimateTableBytes(*t);
     }
   }
-
-  // Columnar hot columns: Freeze() shares every chunk the tail mutation
-  // didn't clone, so the accounting here is exact per chunk.
-  snap->col_images = col_images_.Freeze();
-  snap->col_annotations = col_annotations_.Freeze();
-  snap->col_images->AccountShared(prev ? prev->col_images.get() : nullptr,
-                                  &shared, &copied);
-  snap->col_annotations->AccountShared(
-      prev ? prev->col_annotations.get() : nullptr, &shared, &copied);
 
   // Indexes: cloned only when this write section touched them.
   if (!prev || dirty_points_) {
@@ -148,7 +137,6 @@ void QueryEngine::PublishLocked() {
   }
 
   snap->classifications = class_map_;
-  snap->indexed_images = indexed_images_;
   snap->version = next_version_++;
   snap->bytes_copied = copied;
   snap->bytes_shared = shared;
@@ -192,23 +180,12 @@ Status QueryEngine::IndexRowLocked(const std::string& table, const Row& row) {
 
   if (table == tables::kImages) {
     RowId id = row[0].AsInt64();
-    double lat = col("lat").AsDouble();
-    double lon = col("lon").AsDouble();
-    Timestamp captured = col("timestamp_capturing").AsInt64();
     geo::BoundingBox point_box;
-    point_box.min_lat = point_box.max_lat = lat;
-    point_box.min_lon = point_box.max_lon = lon;
+    point_box.min_lat = point_box.max_lat = col("lat").AsDouble();
+    point_box.min_lon = point_box.max_lon = col("lon").AsDouble();
     TVDP_RETURN_IF_ERROR(points_.Insert(point_box, id));
-    temporal_.Insert(captured, id);
-    col_images_.Append(id, lat, lon, captured);
-    ++indexed_images_;
+    temporal_.Insert(col("timestamp_capturing").AsInt64(), id);
     dirty_points_ = dirty_temporal_ = true;
-    return Status::OK();
-  }
-  if (table == tables::kImageContentAnnotation) {
-    col_annotations_.Append(col("image_id").AsInt64(), col("type_id").AsInt64(),
-                            col("confidence").AsDouble(),
-                            col("annotation_source").AsString());
     return Status::OK();
   }
   if (table != tables::kImageFov && table != tables::kImageManualKeywords &&
@@ -229,11 +206,11 @@ Status QueryEngine::IndexRowLocked(const std::string& table, const Row& row) {
   }
 
   // FOVs and features are placed at the camera: a primary-key lookup.
-  TVDP_ASSIGN_OR_RETURN(Row img, images->Get(image_id));
+  TVDP_ASSIGN_OR_RETURN(const Row* img, images->Get(image_id));
   const storage::Schema& is = images->schema();
   geo::GeoPoint camera{
-      img[static_cast<size_t>(is.ColumnIndex("lat"))].AsDouble(),
-      img[static_cast<size_t>(is.ColumnIndex("lon"))].AsDouble()};
+      (*img)[static_cast<size_t>(is.ColumnIndex("lat"))].AsDouble(),
+      (*img)[static_cast<size_t>(is.ColumnIndex("lon"))].AsDouble()};
   if (table == tables::kImageFov) {
     TVDP_ASSIGN_OR_RETURN(
         geo::FieldOfView fov,
@@ -270,9 +247,6 @@ Status QueryEngine::ReindexAllLocked() {
   keywords_ = index::InvertedIndex();
   lsh_.clear();
   visual_rtree_.clear();
-  col_images_.Clear();
-  col_annotations_.Clear();
-  indexed_images_ = 0;
   // An index left empty must still replace its published predecessor.
   dirty_points_ = dirty_fovs_ = dirty_temporal_ = dirty_keywords_ = true;
   for (const std::string& name : catalog_->TableNames()) {
@@ -405,8 +379,8 @@ Result<std::vector<QueryHit>> QueryEngine::SpatialRangeScan(
       status = img.status();
       return false;
     }
-    geo::GeoPoint loc{img->at(lat_idx).AsDouble(),
-                      img->at(lon_idx).AsDouble()};
+    geo::GeoPoint loc{(*img)->at(lat_idx).AsDouble(),
+                      (*img)->at(lon_idx).AsDouble()};
     auto fov = geo::FieldOfView::Make(
         loc, r[static_cast<size_t>(fs.ColumnIndex("direction_deg"))].AsDouble(),
         r[static_cast<size_t>(fs.ColumnIndex("angle_deg"))].AsDouble(),

@@ -236,14 +236,13 @@ class QueryEngine {
   void SetClassMapLocked(const ClassMap& m);
 
   /// Routes one stored catalog row (id first) to the index its table
-  /// feeds: images -> point R-tree, temporal index, columnar images; FOV ->
-  /// oriented R-tree, placed at the image's camera; keywords -> inverted
-  /// index; features -> the kind's LSH and visual R-tree (the first vector
-  /// of a kind fixes its dimensionality); annotations -> columnar
-  /// annotations. Other tables, and FOV/keyword/feature rows whose image
-  /// is gone, index nothing. Every write path calls it as a row lands, so
-  /// each index receives its own table's rows in storage order, and a
-  /// rebuilt engine equals the one that ingested row by row.
+  /// feeds: images -> point R-tree and temporal index; FOV -> oriented
+  /// R-tree, placed at the image's camera; keywords -> inverted index;
+  /// features -> the kind's LSH and visual R-tree (the first vector of a
+  /// kind fixes its dimensionality). Other tables, and FOV/keyword/feature
+  /// rows whose image is gone, index nothing. Every write path calls it as
+  /// a row lands, so each index receives its own table's rows in storage
+  /// order, and a rebuilt engine equals the one that ingested row by row.
   Status IndexRowLocked(const std::string& table, const storage::Row& row);
   /// Empties every index and replays each table once through
   /// IndexRowLocked: O(rows). Runs after a durable Open and after deletes
@@ -260,12 +259,6 @@ class QueryEngine {
   index::InvertedIndex keywords_;
   std::map<std::string, std::shared_ptr<index::LshIndex>> lsh_;
   std::map<std::string, std::shared_ptr<index::VisualRTree>> visual_rtree_;
-  size_t indexed_images_ = 0;
-
-  /// Columnar builders mirroring the hot columns of the images and
-  /// annotation tables; frozen (structurally shared) into every snapshot.
-  storage::ColumnarImages col_images_;
-  storage::ColumnarAnnotations col_annotations_;
   /// Classification registry published with the next snapshot.
   std::shared_ptr<const ClassMap> class_map_ =
       std::make_shared<const ClassMap>();

@@ -6,7 +6,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <set>
 #include <unordered_set>
 #include <utility>
 
@@ -54,31 +53,21 @@ Status ContextError(const Status& s, const char* stage, size_t done,
                                     s.message().c_str(), stage, done, total));
 }
 
+/// The type id of `pred`'s label, from the snapshot's classification
+/// registry (published in the same version as the registry's rows).
 Result<int64_t> LookupTypeId(const AccessPaths& access,
                              const CategoricalPredicate& pred) {
-  const Table* cls = FindTable(access, tables::kImageContentClassification);
-  const Table* types =
-      FindTable(access, tables::kImageContentClassificationTypes);
-  if (!cls || !types) {
-    return Status::FailedPrecondition("classification tables missing");
-  }
-  TVDP_ASSIGN_OR_RETURN(std::vector<Row> cls_rows,
-                        cls->FindBy("name", Value(pred.classification)));
-  if (cls_rows.empty()) {
+  auto cls = access.classifications->find(pred.classification);
+  if (cls == access.classifications->end()) {
     return Status::NotFound("no classification named " + pred.classification);
   }
-  int64_t cls_id = cls_rows[0][0].AsInt64();
-  TVDP_ASSIGN_OR_RETURN(std::vector<Row> type_rows,
-                        types->FindBy("classification_id", Value(cls_id)));
-  const storage::Schema& ts = types->schema();
-  for (const Row& r : type_rows) {
-    if (r[static_cast<size_t>(ts.ColumnIndex("label"))].AsString() ==
-        pred.label) {
-      return r[0].AsInt64();
-    }
+  const std::map<std::string, int64_t>& labels = cls->second.second;
+  auto type = labels.find(pred.label);
+  if (type == labels.end()) {
+    return Status::NotFound("no label " + pred.label + " in " +
+                            pred.classification);
   }
-  return Status::NotFound("no label " + pred.label + " in " +
-                          pred.classification);
+  return type->second;
 }
 
 }  // namespace
@@ -125,8 +114,9 @@ Result<std::vector<QueryHit>> EvalSpatialKnn(const AccessPaths& access,
   // where a degree of longitude counts the same as a degree of latitude;
   // away from the equator that misorders near-ties. Over-fetch by degree
   // distance, then re-rank the candidates by exact geodesic distance,
-  // fanning the distance computations (each a catalog row read + haversine)
-  // out across the pool when the set is large.
+  // fanning the distance computations (each an in-place row lookup +
+  // haversine) out across the pool when the set is large. A dangling
+  // candidate id keeps the lookup's NotFound.
   int fetch = k + k / 2 + 8;
   std::vector<index::RecordId> ids = access.points->KNearest(p, fetch);
   const Table* images = FindTable(access, tables::kImages);
@@ -134,27 +124,11 @@ Result<std::vector<QueryHit>> EvalSpatialKnn(const AccessPaths& access,
   const storage::Schema& schema = images->schema();
   const size_t lat_idx = static_cast<size_t>(schema.ColumnIndex("lat"));
   const size_t lon_idx = static_cast<size_t>(schema.ColumnIndex("lon"));
-  // Columnar fast path: when the hot-column arrays cover the whole table,
-  // the re-rank reads two packed values per candidate instead of
-  // materializing a row. A columnar miss (or a stale columnar, sizes
-  // differing) falls back to row storage so dangling candidate ids keep
-  // their exact error semantics.
-  const storage::ColumnarImages* ci =
-      access.col_images && access.col_images->size() == images->size()
-          ? access.col_images
-          : nullptr;
   std::vector<std::pair<double, index::RecordId>> ranked(ids.size());
   auto rank_span = [&](size_t begin, size_t end) -> Status {
     for (size_t i = begin; i < end; ++i) {
-      geo::GeoPoint loc;
-      ptrdiff_t slot = ci ? ci->Find(ids[i]) : -1;
-      if (slot >= 0) {
-        loc = geo::GeoPoint{ci->lat(static_cast<size_t>(slot)),
-                            ci->lon(static_cast<size_t>(slot))};
-      } else {
-        TVDP_ASSIGN_OR_RETURN(Row img, images->Get(ids[i]));
-        loc = geo::GeoPoint{img[lat_idx].AsDouble(), img[lon_idx].AsDouble()};
-      }
+      TVDP_ASSIGN_OR_RETURN(const Row* img, images->Get(ids[i]));
+      geo::GeoPoint loc{(*img)[lat_idx].AsDouble(), (*img)[lon_idx].AsDouble()};
       ranked[i] = {geo::HaversineMeters(p, loc), ids[i]};
     }
     return Status::OK();
@@ -260,35 +234,26 @@ Result<std::vector<QueryHit>> EvalCategorical(
   TVDP_ASSIGN_OR_RETURN(int64_t type_id, LookupTypeId(access, pred));
   const Table* ann = FindTable(access, tables::kImageContentAnnotation);
   if (!ann) return Status::FailedPrecondition("annotation table missing");
-  std::set<index::RecordId> ids;
-  // Columnar fast path: the categorical scan touches exactly the hot
-  // columns (type id, confidence, source, image id), so when they cover
-  // the whole table the probe never materializes a row.
-  const storage::ColumnarAnnotations* ca =
-      access.col_annotations && access.col_annotations->size() == ann->size()
-          ? access.col_annotations
-          : nullptr;
-  if (ca) {
-    for (size_t i = 0; i < ca->size(); ++i) {
-      if (ca->type_id(i) != type_id) continue;
-      if (ca->confidence(i) < pred.min_confidence) continue;
-      if (!pred.source.empty() && ca->source(i) != pred.source) continue;
-      ids.insert(ca->image_id(i));
-    }
-    return ToHits(std::vector<index::RecordId>(ids.begin(), ids.end()));
-  }
-  TVDP_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                        ann->FindBy("type_id", Value(type_id)));
   const storage::Schema& as = ann->schema();
+  size_t type_idx = static_cast<size_t>(as.ColumnIndex("type_id"));
   size_t conf_idx = static_cast<size_t>(as.ColumnIndex("confidence"));
   size_t src_idx = static_cast<size_t>(as.ColumnIndex("annotation_source"));
   size_t img_idx = static_cast<size_t>(as.ColumnIndex("image_id"));
-  for (const Row& r : rows) {
-    if (r[conf_idx].AsDouble() < pred.min_confidence) continue;
-    if (!pred.source.empty() && r[src_idx].AsString() != pred.source) continue;
-    ids.insert(r[img_idx].AsInt64());
-  }
-  return ToHits(std::vector<index::RecordId>(ids.begin(), ids.end()));
+  // One pass over the annotation rows in place; an image annotated with
+  // the label several times is reported once, in ascending id order.
+  std::vector<index::RecordId> ids;
+  ann->ForEach([&](const Row& r) {
+    if (r[type_idx].AsInt64() != type_id) return true;
+    if (r[conf_idx].AsDouble() < pred.min_confidence) return true;
+    if (!pred.source.empty() && r[src_idx].AsString() != pred.source) {
+      return true;
+    }
+    ids.push_back(r[img_idx].AsInt64());
+    return true;
+  });
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ToHits(ids);
 }
 
 Result<std::vector<QueryHit>> EvalTextual(const AccessPaths& access,
@@ -484,6 +449,10 @@ class VerifyOp : public Operator {
     // per-candidate behaviour.
     if (!candidates.empty()) {
       TVDP_RETURN_IF_ERROR(Materialize());
+      images_ = FindTable(access_, tables::kImages);
+      if (!images_) return Status::FailedPrecondition("images table missing");
+      captured_idx_ = static_cast<size_t>(
+          images_->schema().ColumnIndex("timestamp_capturing"));
     }
 
     std::vector<char> keep(candidates.size(), 1);
@@ -562,25 +531,11 @@ class VerifyOp : public Operator {
   }
 
   /// Verifies one candidate against every non-seed conjunct, in the
-  /// plan's evaluation order (cheapest rejector first). The temporal
-  /// check reads the columnar hot columns when current; a columnar miss
-  /// (or stale columnar) fetches the image row, so a dangling
-  /// candidate id is a storage error surfaced to the caller, never
-  /// silently dropped.
+  /// plan's evaluation order (cheapest rejector first). The image row is
+  /// read in place from the snapshot, so a dangling candidate id is a
+  /// storage error surfaced to the caller, never silently dropped.
   Result<bool> VerifyOne(RowId id, double* visual_distance) {
-    const Table* images = FindTable(access_, tables::kImages);
-    if (!images) return Status::FailedPrecondition("images table missing");
-    const storage::ColumnarImages* ci =
-        access_.col_images && access_.col_images->size() == images->size()
-            ? access_.col_images
-            : nullptr;
-    ptrdiff_t slot = ci ? ci->Find(id) : -1;
-    std::optional<Row> img;
-    if (slot < 0) {
-      TVDP_ASSIGN_OR_RETURN(Row row, images->Get(id));
-      img = std::move(row);
-    }
-    const storage::Schema& schema = images->schema();
+    TVDP_ASSIGN_OR_RETURN(const Row* img, images_->Get(id));
     for (size_t i = 1; i < plan_->conjuncts.size(); ++i) {
       const ConjunctPlan& c = plan_->conjuncts[i];
       if (c.strategy == ConjunctPlan::Strategy::kMaterializeProbe) {
@@ -591,12 +546,7 @@ class VerifyOp : public Operator {
         continue;
       }
       if (c.family == "temporal") {
-        Timestamp t =
-            slot >= 0
-                ? access_.col_images->captured_at(static_cast<size_t>(slot))
-                : (*img)[static_cast<size_t>(
-                             schema.ColumnIndex("timestamp_capturing"))]
-                      .AsInt64();
+        Timestamp t = (*img)[captured_idx_].AsInt64();
         if (t < q_.temporal->begin || t > q_.temporal->end) return false;
       } else if (c.family == "visual") {
         // Exact feature distance from the stored feature rows. An image
@@ -638,6 +588,10 @@ class VerifyOp : public Operator {
   QueryPlan* plan_;
   PlanNode* node_;
   std::map<std::string, std::unordered_set<int64_t>> materialized_;
+  /// The snapshot's images table and its capture-time column, resolved
+  /// once per run for VerifyOne.
+  const Table* images_ = nullptr;
+  size_t captured_idx_ = 0;
   bool ran_ = false;
   std::vector<QueryHit> kept_;
   size_t pos_ = 0;

@@ -26,8 +26,8 @@ Result<Localization> SceneLocalizer::Localize(const std::string& feature_kind,
   double total_weight = 0, lat = 0, lon = 0;
   std::vector<std::pair<geo::GeoPoint, double>> weighted;
   for (const QueryHit& hit : hits) {
-    TVDP_ASSIGN_OR_RETURN(storage::Row row, images->Get(hit.image_id));
-    geo::GeoPoint p{row[lat_idx].AsDouble(), row[lon_idx].AsDouble()};
+    TVDP_ASSIGN_OR_RETURN(const storage::Row* row, images->Get(hit.image_id));
+    geo::GeoPoint p{(*row)[lat_idx].AsDouble(), (*row)[lon_idx].AsDouble()};
     double w = 1.0 / (hit.visual_distance + 1e-3);
     weighted.emplace_back(p, w);
     total_weight += w;

@@ -150,7 +150,7 @@ Status Planner::Validate(const HybridQuery& q) {
 
 double Planner::EstimateFamily(const AccessPaths& access, const HybridQuery& q,
                                const std::string& family) {
-  double n = static_cast<double>(std::max<size_t>(access.indexed_images, 1));
+  double n = static_cast<double>(std::max<size_t>(access.points->size(), 1));
   if (family == "spatial" && q.spatial) {
     switch (q.spatial->kind) {
       case SpatialPredicate::Kind::kKnn:
@@ -222,7 +222,7 @@ Result<QueryPlan> Planner::BuildPlan(const AccessPaths& access,
   }
   TVDP_RETURN_IF_ERROR(Validate(q));
 
-  double n = static_cast<double>(std::max<size_t>(access.indexed_images, 1));
+  double n = static_cast<double>(std::max<size_t>(access.points->size(), 1));
   std::vector<std::pair<std::string, double>> estimates;
   for (const std::string& f : families) {
     estimates.emplace_back(f, EstimateFamily(access, q, f));

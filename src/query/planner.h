@@ -15,14 +15,14 @@
 #include "index/visual_rtree.h"
 #include "query/plan.h"
 #include "query/query.h"
+#include "query/snapshot.h"
 #include "storage/catalog.h"
-#include "storage/columnar.h"
 
 namespace tvdp::query {
 
 /// The access paths the planner and executor operate over: non-owning
-/// views of one pinned MVCC snapshot's tables, indexes and columnar hot
-/// columns, plus the fan-out pool (QueryEngine::SnapshotPaths). Everything
+/// views of one pinned MVCC snapshot's tables, indexes and classification
+/// registry, plus the fan-out pool (QueryEngine::SnapshotPaths). Everything
 /// referenced is immutable, so no lock is held. The planner never reaches
 /// into index internals — only through the `CardinalityEstimate`
 /// statistics hooks and the public probe methods.
@@ -36,12 +36,7 @@ struct AccessPaths {
   const std::map<std::string, std::shared_ptr<index::LshIndex>>* lsh = nullptr;
   const std::map<std::string, std::shared_ptr<index::VisualRTree>>*
       visual_rtree = nullptr;
-  /// Columnar hot columns; may be stale relative to the table (a write
-  /// section that failed part-way still publishes its rows) — consumers
-  /// fall back to row storage unless the sizes match.
-  const storage::ColumnarImages* col_images = nullptr;
-  const storage::ColumnarAnnotations* col_annotations = nullptr;
-  size_t indexed_images = 0;
+  const ClassMap* classifications = nullptr;
 };
 
 /// The snapshot table named `name`, or nullptr when absent.

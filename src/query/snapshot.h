@@ -14,7 +14,6 @@
 #include "index/rtree.h"
 #include "index/temporal_index.h"
 #include "index/visual_rtree.h"
-#include "storage/columnar.h"
 #include "storage/table.h"
 
 namespace tvdp::query {
@@ -26,10 +25,10 @@ using ClassMap =
     std::map<std::string, std::pair<int64_t, std::map<std::string, int64_t>>>;
 
 /// One immutable published version of the engine's queryable state: the
-/// catalog tables, the columnar hot columns, and every index, all frozen
-/// at a single commit boundary. Snapshots are published by an atomic
-/// shared_ptr root swap; readers pin one at query start and see a stable
-/// version for the query's whole lifetime while writers race ahead.
+/// catalog tables and every index, all frozen at a single commit boundary.
+/// Snapshots are published by an atomic shared_ptr root swap; readers pin
+/// one at query start and see a stable version for the query's whole
+/// lifetime while writers race ahead.
 ///
 /// Copy-on-write: components untouched by a commit are shared (the same
 /// shared_ptr) with the previous version, so consecutive snapshots share
@@ -52,10 +51,6 @@ struct EngineSnapshot {
   /// Immutable per-version view of the catalog tables.
   storage::TableSet tables;
 
-  /// Columnar hot columns (id, lat/lon, timestamp; annotation category).
-  std::shared_ptr<const storage::ColumnarImages> col_images;
-  std::shared_ptr<const storage::ColumnarAnnotations> col_annotations;
-
   /// Frozen indexes. Non-const map values for lsh/visual_rtree (the map
   /// type AccessPaths names); immutability is by convention (queries only
   /// call const methods).
@@ -68,8 +63,6 @@ struct EngineSnapshot {
 
   /// Classification registry at this version.
   std::shared_ptr<const ClassMap> classifications;
-
-  size_t indexed_images = 0;
 
   /// Commit accounting (bytes of snapshot components copied by the commit
   /// that published this version vs. shared with its predecessor).

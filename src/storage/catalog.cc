@@ -99,12 +99,12 @@ std::vector<uint8_t> Catalog::SerializeTables(
     }
     w.WriteI64(table->next_id());
     // Rows.
-    std::vector<Row> rows = table->Scan([](const Row&) { return true; });
-    w.WriteU32(static_cast<uint32_t>(rows.size()));
-    for (const Row& row : rows) {
+    w.WriteU32(static_cast<uint32_t>(table->size()));
+    table->ForEach([&](const Row& row) {
       w.WriteU32(static_cast<uint32_t>(row.size()));
       for (const Value& v : row) w.WriteValue(v);
-    }
+      return true;
+    });
   }
   std::vector<uint8_t> body = std::move(w.Take());
 

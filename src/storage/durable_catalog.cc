@@ -195,7 +195,8 @@ Status DurableCatalog::Delete(const std::string& table, RowId id) {
   Table* t = catalog_->GetTable(table);
   if (!t) return Status::NotFound("no such table: " + table);
   // Keep a copy so a failed log append can restore the exact row.
-  TVDP_ASSIGN_OR_RETURN(Row saved, t->Get(id));
+  TVDP_ASSIGN_OR_RETURN(const Row* live, t->Get(id));
+  Row saved = *live;
   TVDP_RETURN_IF_ERROR(t->Delete(id));
   WalRecord record = WalRecord::Delete(table, id);
   record.epoch = epoch_;

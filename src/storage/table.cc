@@ -20,28 +20,13 @@ Result<RowId> Table::Insert(Row row) {
   return id;
 }
 
-Result<Row> Table::Get(RowId id) const {
+Result<const Row*> Table::Get(RowId id) const {
   auto it = pk_index_.find(id);
   if (it == pk_index_.end()) {
     return Status::NotFound(StrFormat("%s: no row %lld", name_.c_str(),
                                       static_cast<long long>(id)));
   }
-  return rows_[it->second];
-}
-
-Status Table::Update(RowId id, Row row) {
-  auto it = pk_index_.find(id);
-  if (it == pk_index_.end()) {
-    return Status::NotFound(StrFormat("%s: no row %lld", name_.c_str(),
-                                      static_cast<long long>(id)));
-  }
-  TVDP_RETURN_IF_ERROR(schema_.ValidateRow(row));
-  Row full;
-  full.reserve(row.size() + 1);
-  full.emplace_back(id);
-  for (auto& v : row) full.push_back(std::move(v));
-  rows_[it->second] = std::move(full);
-  return Status::OK();
+  return &rows_[it->second];
 }
 
 Status Table::Delete(RowId id) {
@@ -53,15 +38,6 @@ Status Table::Delete(RowId id) {
   live_[it->second] = false;
   pk_index_.erase(it);
   return Status::OK();
-}
-
-std::vector<Row> Table::Scan(
-    const std::function<bool(const Row&)>& predicate) const {
-  std::vector<Row> out;
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    if (live_[i] && predicate(rows_[i])) out.push_back(rows_[i]);
-  }
-  return out;
 }
 
 Result<std::vector<Row>> Table::FindBy(const std::string& column,

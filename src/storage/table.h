@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -17,7 +19,7 @@ namespace tvdp::storage {
 using RowId = int64_t;
 
 /// An in-memory heap table with an auto-increment primary key, schema
-/// validation, predicate scans, and point lookups via a pk hash map.
+/// validation, row scans, and point lookups via a pk hash map.
 class Table {
  public:
   Table(std::string name, Schema schema);
@@ -29,21 +31,17 @@ class Table {
   /// Inserts a row (all columns except id); returns the assigned id.
   Result<RowId> Insert(Row row);
 
-  /// The full row (including id at position 0) for `id`.
-  Result<Row> Get(RowId id) const;
-
-  /// Replaces the non-id columns of row `id`.
-  Status Update(RowId id, Row row);
+  /// The full row (including id at position 0) for `id`, read in place:
+  /// the pointer is valid until this table next changes. A table published
+  /// in an MVCC snapshot never changes, so there it lives as long as the
+  /// pin. Callers that keep the row past that copy it.
+  Result<const Row*> Get(RowId id) const;
 
   /// Deletes row `id` (tombstone; space is reused on save/load).
   Status Delete(RowId id);
 
   /// True iff a live row with `id` exists.
   bool Exists(RowId id) const { return pk_index_.count(id) > 0; }
-
-  /// All rows matching `predicate` (full scan, storage order).
-  std::vector<Row> Scan(
-      const std::function<bool(const Row&)>& predicate) const;
 
   /// All rows where column `column` equals `v` (scan with equality).
   Result<std::vector<Row>> FindBy(const std::string& column,
@@ -67,6 +65,11 @@ class Table {
   std::unordered_map<RowId, size_t> pk_index_;  // id -> slot
   RowId next_id_ = 1;
 };
+
+/// An immutable table set: the per-version view of the catalog published
+/// in an MVCC snapshot. Clean tables are shared (same shared_ptr) across
+/// consecutive versions; only tables touched by a commit are copied.
+using TableSet = std::map<std::string, std::shared_ptr<const Table>>;
 
 }  // namespace tvdp::storage
 

@@ -428,7 +428,7 @@ TEST_F(DurabilityTest, DurableCatalogPersistsAcrossReopen) {
   EXPECT_EQ(items->size(), 10u);
   auto row = items->Get(7);
   ASSERT_TRUE(row.ok());
-  EXPECT_EQ((*row)[1].AsString(), "it7");
+  EXPECT_EQ((**row)[1].AsString(), "it7");
   // Ids keep counting from where they left off.
   auto next = dc->Insert("items", ItemRow("post", 0));
   ASSERT_TRUE(next.ok());
@@ -475,7 +475,7 @@ TEST_F(DurabilityTest, PowerCutSweepRecoversExactlyTheCommittedPrefix) {
     for (size_t i = 1; i <= expected; ++i) {
       auto row = items->Get(static_cast<int64_t>(i));
       ASSERT_TRUE(row.ok()) << "cut at " << cut << " row " << i;
-      ASSERT_EQ((*row)[1].AsString(), "r" + std::to_string(i));
+      ASSERT_EQ((**row)[1].AsString(), "r" + std::to_string(i));
     }
     ASSERT_FALSE(items->Exists(static_cast<int64_t>(expected) + 1))
         << "cut at " << cut;
@@ -549,7 +549,7 @@ TEST_F(DurabilityTest, TransientIoErrorRollsBackAndStaysConsistent) {
   EXPECT_TRUE(reopened_items->Exists(2));
   auto row = reopened_items->Get(2);
   ASSERT_TRUE(row.ok());
-  EXPECT_EQ((*row)[1].AsString(), "retried");
+  EXPECT_EQ((**row)[1].AsString(), "retried");
 }
 
 TEST_F(DurabilityTest, CompactionSnapshotsAndResetsTheWal) {

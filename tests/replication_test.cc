@@ -289,6 +289,80 @@ TEST(ReplicationUnitTest, IngestSplitAcrossBatchesIndexesLikeThePrimary) {
             ids(primary.query().SpatialRange(ahead)));
 }
 
+TEST(ReplicationUnitTest, RegistrySplitAcrossBatchesServesCategorical) {
+  // A categorical probe resolves its label through the snapshot's
+  // classification registry. A label added after the fact ships as one
+  // type row, and the annotation using it can land in a later batch: the
+  // replica must resolve the label from the batch that brought its row.
+  auto created = Tvdp::Create();
+  ASSERT_TRUE(created.ok());
+  Tvdp primary = std::move(created).value();
+  std::vector<storage::WalRecord> captured;
+  primary.SetMutationObserver(
+      [&](const storage::WalRecord& r) { captured.push_back(r); });
+  ImageRecord rec;
+  rec.uri = "labelled";
+  rec.location = CellZeroPoint();
+  rec.captured_at = kT0;
+  auto image = primary.IngestImage(rec);
+  ASSERT_TRUE(image.ok()) << image.status();
+  ASSERT_TRUE(primary.RegisterClassification("scene", {"clean"}).ok());
+  AnnotationRecord ann;
+  ann.classification = "scene";
+  ann.label = "clean";
+  ann.confidence = 0.9;
+  ann.machine = true;
+  ASSERT_TRUE(primary.AnnotateImage(*image, ann).ok());
+  const size_t type_row = captured.size();
+  ASSERT_TRUE(primary.RegisterClassification("scene", {"dirty"}).ok());
+  ann.label = "dirty";
+  ASSERT_TRUE(primary.AnnotateImage(*image, ann).ok());
+  ASSERT_EQ(captured.size(), type_row + 2);
+  ASSERT_EQ(captured[type_row].table,
+            storage::tables::kImageContentClassificationTypes);
+  ASSERT_EQ(captured[type_row + 1].table,
+            storage::tables::kImageContentAnnotation);
+
+  auto ids = [](const Result<std::vector<query::QueryHit>>& hits) {
+    EXPECT_TRUE(hits.ok()) << hits.status();
+    std::vector<int64_t> out;
+    if (hits.ok()) {
+      for (const auto& h : *hits) out.push_back(h.image_id);
+    }
+    return out;
+  };
+  query::CategoricalPredicate clean;
+  clean.classification = "scene";
+  clean.label = "clean";
+  query::CategoricalPredicate dirty = clean;
+  dirty.label = "dirty";
+  ASSERT_EQ(ids(primary.query().Categorical(clean)),
+            std::vector<int64_t>{*image});
+  ASSERT_EQ(ids(primary.query().Categorical(dirty)),
+            std::vector<int64_t>{*image});
+
+  auto replica = Tvdp::Create();
+  ASSERT_TRUE(replica.ok());
+  ASSERT_TRUE(replica
+                  ->ApplyReplicated(std::vector<storage::WalRecord>(
+                      captured.begin(), captured.begin() + type_row))
+                  .ok());
+  EXPECT_EQ(replica->query().Categorical(dirty).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(ids(replica->query().Categorical(clean)),
+            ids(primary.query().Categorical(clean)));
+
+  // The type row alone: the label resolves, nothing carries it yet.
+  ASSERT_TRUE(replica->ApplyReplicated({captured[type_row]}).ok());
+  EXPECT_TRUE(ids(replica->query().Categorical(dirty)).empty());
+
+  ASSERT_TRUE(replica->ApplyReplicated({captured[type_row + 1]}).ok());
+  EXPECT_EQ(ids(replica->query().Categorical(dirty)),
+            ids(primary.query().Categorical(dirty)));
+  EXPECT_EQ(ids(replica->query().Categorical(clean)),
+            ids(primary.query().Categorical(clean)));
+}
+
 // ---------------------------------------------------------------------
 // Shipping basics: sync replicas stay caught up, async lag is bounded.
 // ---------------------------------------------------------------------

@@ -66,7 +66,7 @@ TEST(SchemaTest, RowValidation) {
 
 // ---------- Table ----------
 
-TEST(TableTest, InsertGetUpdateDelete) {
+TEST(TableTest, InsertGetDelete) {
   Table t("things", Schema({{"name", ValueType::kString, false, std::nullopt}}));
   auto id1 = t.Insert({Value("a")});
   auto id2 = t.Insert({Value("b")});
@@ -78,10 +78,7 @@ TEST(TableTest, InsertGetUpdateDelete) {
 
   auto row = t.Get(*id1);
   ASSERT_TRUE(row.ok());
-  EXPECT_EQ((*row)[1].AsString(), "a");
-
-  ASSERT_TRUE(t.Update(*id1, {Value("a2")}).ok());
-  EXPECT_EQ(t.Get(*id1)->at(1).AsString(), "a2");
+  EXPECT_EQ((**row)[1].AsString(), "a");
 
   ASSERT_TRUE(t.Delete(*id1).ok());
   EXPECT_FALSE(t.Get(*id1).ok());
@@ -98,7 +95,7 @@ TEST(TableTest, InsertValidatesAgainstSchema) {
   EXPECT_EQ(t.size(), 0u);
 }
 
-TEST(TableTest, ScanAndFindBy) {
+TEST(TableTest, FindByAndForEach) {
   Table t("things", Schema({{"group", ValueType::kString, false, std::nullopt},
                             {"v", ValueType::kInt64, false, std::nullopt}}));
   for (int i = 0; i < 10; ++i) {
@@ -108,9 +105,6 @@ TEST(TableTest, ScanAndFindBy) {
   ASSERT_TRUE(evens.ok());
   EXPECT_EQ(evens->size(), 5u);
   EXPECT_FALSE(t.FindBy("nope", Value(1)).ok());
-
-  auto big = t.Scan([&](const Row& r) { return r[2].AsInt64() >= 7; });
-  EXPECT_EQ(big.size(), 3u);
 
   int visited = 0;
   t.ForEach([&](const Row&) {
@@ -233,7 +227,7 @@ TEST(CatalogTest, SerializeRoundtrip) {
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->size(), 1u);
   EXPECT_FALSE(t->Get(1).ok());
-  EXPECT_EQ(t->Get(2)->at(1).AsString(), "row2");
+  EXPECT_EQ((*t->Get(2))->at(1).AsString(), "row2");
   // next_id preserved: new rows continue after the old sequence.
   EXPECT_EQ(*t->Insert({Value("row3"), Value()}), 3);
 }
@@ -253,7 +247,7 @@ TEST(CatalogTest, FileRoundtrip) {
   ASSERT_TRUE(c.SaveToFile(path).ok());
   auto loaded = Catalog::LoadFromFile(path);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->GetTable("t")->Get(1)->at(1).AsInt64(), 42);
+  EXPECT_EQ((*loaded->GetTable("t")->Get(1))->at(1).AsInt64(), 42);
   std::remove(path.c_str());
   EXPECT_FALSE(Catalog::LoadFromFile(path).ok());
 }
