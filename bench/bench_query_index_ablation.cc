@@ -1,6 +1,6 @@
 // Sec. IV-C design-choice ablation: per-operation latency of every TVDP
 // query family through its index versus a full-scan baseline, plus the
-// hybrid spatial-visual index versus a filter-then-rank composition.
+// planner's filter-then-rank spatial-visual query.
 // Run with --benchmark_filter=... to select cases.
 
 #include <benchmark/benchmark.h>
@@ -120,22 +120,9 @@ void BM_VisualTopK_FullScan(benchmark::State& state) {
 }
 BENCHMARK(BM_VisualTopK_FullScan);
 
-void BM_SpatialVisual_HybridIndex(benchmark::State& state) {
-  auto& f = AblationFixture::Get();
-  size_t i = 0;
-  for (auto _ : state) {
-    size_t j = i++ % f.probe_features.size();
-    auto hits = f.tvdp.query().SpatialVisualTopK(
-        f.probe_boxes[j].Center(), "cnn", f.probe_features[j], 10, 0.7);
-    benchmark::DoNotOptimize(hits);
-  }
-}
-BENCHMARK(BM_SpatialVisual_HybridIndex);
-
 void BM_SpatialVisual_FilterThenRank(benchmark::State& state) {
-  // Composition baseline: spatial range via the planner, visual ranking
-  // via per-candidate verification (the path Execute() takes without a
-  // hybrid index).
+  // Spatial range plus visual top-k through the planner: an LSH seed with
+  // a spatial verify.
   auto& f = AblationFixture::Get();
   size_t i = 0;
   for (auto _ : state) {
@@ -155,44 +142,6 @@ void BM_SpatialVisual_FilterThenRank(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpatialVisual_FilterThenRank);
-
-void BM_SpatialVisual_ExactScan(benchmark::State& state) {
-  // Exact baseline: compute the blended score for every stored feature.
-  auto& f = AblationFixture::Get();
-  const storage::Table* feats =
-      f.tvdp.catalog().GetTable(storage::tables::kImageVisualFeatures);
-  const storage::Table* images =
-      f.tvdp.catalog().GetTable(storage::tables::kImages);
-  const storage::Schema& fs = feats->schema();
-  const storage::Schema& is = images->schema();
-  size_t feat_idx = static_cast<size_t>(fs.ColumnIndex("feature"));
-  size_t img_idx = static_cast<size_t>(fs.ColumnIndex("image_id"));
-  size_t lat_idx = static_cast<size_t>(is.ColumnIndex("lat"));
-  size_t lon_idx = static_cast<size_t>(is.ColumnIndex("lon"));
-  size_t i = 0;
-  for (auto _ : state) {
-    size_t j = i++ % f.probe_features.size();
-    geo::GeoPoint probe = f.probe_boxes[j].Center();
-    std::vector<std::pair<double, int64_t>> scored;
-    feats->ForEach([&](const storage::Row& r) {
-      auto img = images->Get(r[img_idx].AsInt64());
-      geo::BoundingBox b;
-      b.min_lat = b.max_lat = (*img)->at(lat_idx).AsDouble();
-      b.min_lon = b.max_lon = (*img)->at(lon_idx).AsDouble();
-      double score =
-          0.7 * index::MinDistDeg(probe, b) / 0.1 +
-          0.3 * ml::L2Distance(f.probe_features[j],
-                               r[feat_idx].AsFloatVector());
-      scored.emplace_back(score, r[img_idx].AsInt64());
-      return true;
-    });
-    std::partial_sort(scored.begin(),
-                      scored.begin() + std::min<size_t>(10, scored.size()),
-                      scored.end());
-    benchmark::DoNotOptimize(scored);
-  }
-}
-BENCHMARK(BM_SpatialVisual_ExactScan);
 
 void BM_Textual_InvertedIndex(benchmark::State& state) {
   auto& f = AblationFixture::Get();

@@ -1,30 +1,27 @@
 #include "index/inverted_index.h"
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_map>
+#include <iterator>
 
 namespace tvdp::index {
+
+namespace {
+
+/// Inserts `id` into the sorted vector `ids` unless already present.
+void InsertSorted(std::vector<RecordId>* ids, RecordId id) {
+  auto it = std::lower_bound(ids->begin(), ids->end(), id);
+  if (it == ids->end() || *it != id) ids->insert(it, id);
+}
+
+}  // namespace
 
 Status InvertedIndex::AddDocument(RecordId id,
                                   const std::vector<std::string>& terms) {
   if (terms.empty()) return Status::InvalidArgument("no terms to index");
-  std::unordered_map<std::string, int32_t> counts;
   for (const auto& t : terms) {
-    if (!t.empty()) ++counts[t];
+    if (!t.empty()) InsertSorted(&postings_[t], id);
   }
-  for (const auto& [term, tf] : counts) {
-    auto& list = postings_[term];
-    auto it = std::lower_bound(
-        list.begin(), list.end(), id,
-        [](const Posting& p, RecordId v) { return p.id < v; });
-    if (it != list.end() && it->id == id) {
-      it->term_frequency += tf;
-    } else {
-      list.insert(it, Posting{id, tf});
-    }
-  }
-  doc_lengths_[id] += static_cast<int64_t>(terms.size());
+  InsertSorted(&doc_ids_, id);
   return Status::OK();
 }
 
@@ -52,7 +49,7 @@ std::vector<RecordId> InvertedIndex::QueryAnd(
     const std::vector<std::string>& terms) const {
   if (terms.empty()) return {};
   // Intersect posting lists, shortest first.
-  std::vector<const std::vector<Posting>*> lists;
+  std::vector<const std::vector<RecordId>*> lists;
   for (const auto& t : terms) {
     auto it = postings_.find(t);
     if (it == postings_.end()) return {};
@@ -60,23 +57,11 @@ std::vector<RecordId> InvertedIndex::QueryAnd(
   }
   std::sort(lists.begin(), lists.end(),
             [](const auto* a, const auto* b) { return a->size() < b->size(); });
-  std::vector<RecordId> result;
-  for (const Posting& p : *lists[0]) result.push_back(p.id);
+  std::vector<RecordId> result = *lists[0];
   for (size_t i = 1; i < lists.size() && !result.empty(); ++i) {
     std::vector<RecordId> next;
-    const auto& list = *lists[i];
-    size_t a = 0, b = 0;
-    while (a < result.size() && b < list.size()) {
-      if (result[a] == list[b].id) {
-        next.push_back(result[a]);
-        ++a;
-        ++b;
-      } else if (result[a] < list[b].id) {
-        ++a;
-      } else {
-        ++b;
-      }
-    }
+    std::set_intersection(result.begin(), result.end(), lists[i]->begin(),
+                          lists[i]->end(), std::back_inserter(next));
     result = std::move(next);
   }
   return result;
@@ -90,56 +75,11 @@ std::vector<RecordId> InvertedIndex::QueryOr(
     if (it == postings_.end()) continue;
     std::vector<RecordId> merged;
     merged.reserve(result.size() + it->second.size());
-    size_t a = 0, b = 0;
-    while (a < result.size() || b < it->second.size()) {
-      if (a >= result.size()) {
-        merged.push_back(it->second[b++].id);
-      } else if (b >= it->second.size()) {
-        merged.push_back(result[a++]);
-      } else if (result[a] == it->second[b].id) {
-        merged.push_back(result[a]);
-        ++a;
-        ++b;
-      } else if (result[a] < it->second[b].id) {
-        merged.push_back(result[a++]);
-      } else {
-        merged.push_back(it->second[b++].id);
-      }
-    }
+    std::set_union(result.begin(), result.end(), it->second.begin(),
+                   it->second.end(), std::back_inserter(merged));
     result = std::move(merged);
   }
   return result;
-}
-
-std::vector<std::pair<RecordId, double>> InvertedIndex::QueryRanked(
-    const std::vector<std::string>& terms, int k) const {
-  std::vector<std::pair<RecordId, double>> out;
-  if (k <= 0 || doc_lengths_.empty()) return out;
-  double n_docs = static_cast<double>(doc_lengths_.size());
-  std::unordered_map<RecordId, double> scores;
-  for (const auto& t : terms) {
-    auto it = postings_.find(t);
-    if (it == postings_.end()) continue;
-    double idf = std::log((1.0 + n_docs) / (1.0 + it->second.size())) + 1.0;
-    for (const Posting& p : it->second) {
-      double tf = 1.0 + std::log(static_cast<double>(p.term_frequency));
-      scores[p.id] += tf * idf;
-    }
-  }
-  out.reserve(scores.size());
-  for (const auto& [id, score] : scores) {
-    auto len_it = doc_lengths_.find(id);
-    double norm = len_it != doc_lengths_.end() && len_it->second > 0
-                      ? std::sqrt(static_cast<double>(len_it->second))
-                      : 1.0;
-    out.emplace_back(id, score / norm);
-  }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  if (out.size() > static_cast<size_t>(k)) out.resize(static_cast<size_t>(k));
-  return out;
 }
 
 }  // namespace tvdp::index

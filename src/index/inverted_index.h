@@ -1,7 +1,6 @@
 #ifndef TVDP_INDEX_INVERTED_INDEX_H_
 #define TVDP_INDEX_INVERTED_INDEX_H_
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -13,14 +12,14 @@ namespace tvdp::index {
 
 /// Inverted keyword index (Zobel & Moffat, CSUR 2006) over the textual
 /// descriptors (manual keywords) of the TVDP data model. Posting lists are
-/// kept sorted by record id; ranked retrieval uses tf-idf with cosine-style
-/// length normalization.
+/// sorted record ids, so boolean queries merge them in one pass.
 class InvertedIndex {
  public:
   InvertedIndex() = default;
 
   /// Indexes `terms` for document `id`. Terms are used as-is (callers
-  /// normally pass TokenizeWords output). Re-adding the same id appends.
+  /// normally pass TokenizeWords output). Re-adding an id adds its new
+  /// terms.
   Status AddDocument(RecordId id, const std::vector<std::string>& terms);
 
   /// Documents containing every query term (conjunctive boolean).
@@ -29,14 +28,10 @@ class InvertedIndex {
   /// Documents containing at least one query term (disjunctive boolean).
   std::vector<RecordId> QueryOr(const std::vector<std::string>& terms) const;
 
-  /// Top-k documents by accumulated tf-idf score.
-  std::vector<std::pair<RecordId, double>> QueryRanked(
-      const std::vector<std::string>& terms, int k) const;
-
   /// Number of distinct indexed terms.
   size_t vocabulary_size() const { return postings_.size(); }
   /// Number of distinct indexed documents.
-  size_t document_count() const { return doc_lengths_.size(); }
+  size_t document_count() const { return doc_ids_.size(); }
   /// Documents containing `term`.
   size_t DocumentFrequency(const std::string& term) const;
 
@@ -49,15 +44,10 @@ class InvertedIndex {
                              bool conjunctive) const;
 
  private:
-  struct Posting {
-    RecordId id;
-    int32_t term_frequency;
-  };
-
-  // term -> postings sorted by id.
-  std::map<std::string, std::vector<Posting>> postings_;
-  // id -> number of term occurrences (for length normalization).
-  std::map<RecordId, int64_t> doc_lengths_;
+  // term -> ids of the documents containing it, sorted.
+  std::map<std::string, std::vector<RecordId>> postings_;
+  // Every indexed document id, sorted.
+  std::vector<RecordId> doc_ids_;
 };
 
 }  // namespace tvdp::index

@@ -47,20 +47,6 @@ LshIndex::BucketKey LshIndex::Signature(const ml::FeatureVector& v, int table,
   return key;
 }
 
-std::shared_ptr<LshIndex> LshIndex::Clone() const {
-  auto out = std::make_shared<LshIndex>(dim_, options_);
-  // The constructor derives projections_/offsets_ from the seed; copy them
-  // anyway so a clone is bit-identical even if the derivation changes.
-  out->projections_ = projections_;
-  out->offsets_ = offsets_;
-  out->tables_ = tables_;
-  out->vectors_ = vectors_;
-  out->ids_ = ids_;
-  out->last_candidates_.store(last_candidates_.load(std::memory_order_relaxed),
-                              std::memory_order_relaxed);
-  return out;
-}
-
 Status LshIndex::Insert(const ml::FeatureVector& v, RecordId id) {
   if (v.size() != dim_) {
     return Status::InvalidArgument("vector dimensionality mismatch");
@@ -135,8 +121,6 @@ std::vector<RecordId> LshIndex::CollectCandidates(
       }
     }
   }
-  last_candidates_.store(static_cast<int64_t>(slots.size()),
-                         std::memory_order_relaxed);
   return slots;
 }
 
@@ -171,7 +155,7 @@ double LshIndex::CardinalityEstimate(const ml::FeatureVector& query,
   if (query.size() != dim_ || vectors_.empty()) return 0;
   int probes = probes_override >= 0 ? probes_override : options_.probes;
   // Mirror CollectCandidates' bucket enumeration, but only count distinct
-  // slots — no per-table lists, no ranking, no instrumentation update.
+  // slots — no per-table lists, no ranking.
   std::vector<bool> seen(vectors_.size(), false);
   size_t distinct = 0;
   for (size_t t = 0; t < static_cast<size_t>(options_.num_tables); ++t) {

@@ -1,9 +1,7 @@
 #ifndef TVDP_INDEX_LSH_H_
 #define TVDP_INDEX_LSH_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -45,12 +43,6 @@ class LshIndex {
   /// Inserts a vector with its record id.
   Status Insert(const ml::FeatureVector& v, RecordId id);
 
-  /// Deep copy for MVCC snapshot publication (the atomic counter makes the
-  /// type non-copyable, so copies are explicit and heap-allocated — callers
-  /// hold them by shared_ptr across snapshot versions). Requires the same
-  /// external exclusion as Insert.
-  std::shared_ptr<LshIndex> Clone() const;
-
   /// Approximate top-k by L2 distance. Results are (id, distance) sorted
   /// ascending; may return fewer than k when buckets are sparse.
   ///
@@ -82,12 +74,6 @@ class LshIndex {
   size_t size() const { return vectors_.size(); }
   size_t dim() const { return dim_; }
 
-  /// Candidates examined by the last query (ablation instrumentation).
-  /// Under concurrent queries this is a point-in-time observation.
-  int64_t last_candidates() const {
-    return last_candidates_.load(std::memory_order_relaxed);
-  }
-
  private:
   using BucketKey = uint64_t;
 
@@ -114,7 +100,6 @@ class LshIndex {
   std::vector<std::unordered_map<BucketKey, std::vector<RecordId>>> tables_;
   std::vector<ml::FeatureVector> vectors_;  // slot = insertion order
   std::vector<RecordId> ids_;
-  mutable std::atomic<int64_t> last_candidates_ = 0;
 };
 
 }  // namespace tvdp::index

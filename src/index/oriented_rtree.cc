@@ -1,7 +1,5 @@
 #include "index/oriented_rtree.h"
 
-#include <cmath>
-
 namespace tvdp::index {
 namespace {
 
@@ -10,38 +8,13 @@ constexpr size_t kParallelRefineMin = 128;
 
 }  // namespace
 
-bool DirectionRange::Contains(double bearing_deg) const {
-  // AngularDifference wraps into (-180, 180], so the test is seam-safe:
-  // a bearing of 5° against center 350° yields a 15° difference.
-  double diff = std::abs(geo::AngularDifference(bearing_deg, center_deg));
-  return diff <= half_width_deg + 1e-12;
-}
-
 OrientedRTree::OrientedRTree(Options options)
     : options_(options), tree_(RTree::Options{options.max_entries}) {}
-
-OrientedRTree::OrientedRTree(OrientedRTree&& other) noexcept
-    : options_(other.options_),
-      tree_(std::move(other.tree_)),
-      fovs_(std::move(other.fovs_)),
-      last_candidates_(
-          other.last_candidates_.load(std::memory_order_relaxed)) {}
-
-OrientedRTree& OrientedRTree::operator=(OrientedRTree&& other) noexcept {
-  options_ = other.options_;
-  tree_ = std::move(other.tree_);
-  fovs_ = std::move(other.fovs_);
-  last_candidates_.store(other.last_candidates_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  return *this;
-}
 
 OrientedRTree OrientedRTree::Clone() const {
   OrientedRTree out(options_);
   out.tree_ = tree_.Clone();
   out.fovs_ = fovs_;
-  out.last_candidates_.store(last_candidates_.load(std::memory_order_relaxed),
-                             std::memory_order_relaxed);
   return out;
 }
 
@@ -59,8 +32,6 @@ std::vector<RecordId> OrientedRTree::Refine(
     const std::vector<RecordId>& candidates,
     const std::function<bool(const Stored&)>& match,
     const RequestContext* ctx) const {
-  last_candidates_.store(static_cast<int64_t>(candidates.size()),
-                         std::memory_order_relaxed);
   if (options_.pool && candidates.size() >= kParallelRefineMin) {
     std::vector<char> hit(candidates.size(), 0);
     auto refine_span = [&](size_t begin, size_t end) {
@@ -95,13 +66,6 @@ std::vector<RecordId> OrientedRTree::RangeSearch(
   return Refine(
       tree_.RangeSearch(box),
       [&box](const Stored& s) { return s.fov.IntersectsBBox(box); }, ctx);
-}
-
-std::vector<RecordId> OrientedRTree::RangeSearchDirected(
-    const geo::BoundingBox& box, const DirectionRange& dir) const {
-  return Refine(tree_.RangeSearch(box), [&box, &dir](const Stored& s) {
-    return dir.Contains(s.fov.direction_deg) && s.fov.IntersectsBBox(box);
-  });
 }
 
 std::vector<RecordId> OrientedRTree::PointQuery(const geo::GeoPoint& p,

@@ -1,10 +1,8 @@
 #ifndef TVDP_INDEX_ORIENTED_RTREE_H_
 #define TVDP_INDEX_ORIENTED_RTREE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/context.h"
@@ -15,26 +13,13 @@
 
 namespace tvdp::index {
 
-/// A closed angular interval on the compass circle, used to prune by
-/// viewing direction. Wraps across the 0°/360° seam: center 350° with
-/// half-width 30° contains bearings in [320°, 20°].
-struct DirectionRange {
-  double center_deg = 0;  ///< target bearing
-  double half_width_deg = 180;  ///< tolerance; 180 accepts everything
-
-  /// True iff `bearing` lies within center +- half_width (mod 360).
-  bool Contains(double bearing_deg) const;
-};
-
 /// Oriented R-tree over FOV descriptors (after Lu, Shahabi & Kim,
-/// GeoInformatica 2016): the spatial hierarchy is an R-tree over scene
-/// MBRs, and every node entry carries the union of its subtree's viewing-
-/// direction intervals so direction predicates prune internal nodes too.
+/// GeoInformatica 2016): an R-tree over scene MBRs filters, and each
+/// candidate's exact sector refines.
 ///
 /// Supported queries:
-///  * RangeSearch(box)              — FOVs whose sector intersects the box
-///  * RangeSearchDirected(box, dir) — additionally filtered by direction
-///  * PointQuery(p)                 — FOVs that actually see point p
+///  * RangeSearch(box) — FOVs whose sector intersects the box
+///  * PointQuery(p)    — FOVs that actually see point p
 ///
 /// Thread safety: concurrent queries are safe against each other; Insert
 /// requires external exclusion against queries (the QueryEngine inserts
@@ -52,12 +37,6 @@ class OrientedRTree {
   OrientedRTree() : OrientedRTree(Options()) {}
   explicit OrientedRTree(Options options);
 
-  /// Movable so the query engine can rebuild its FOV index in place after a
-  /// bulk delete. The atomic candidate counter transfers as a plain
-  /// load/store: a move requires the same external exclusion as Insert.
-  OrientedRTree(OrientedRTree&& other) noexcept;
-  OrientedRTree& operator=(OrientedRTree&& other) noexcept;
-
   /// Deep copy for MVCC snapshot publication; requires the same external
   /// exclusion as Insert (the engine clones under its writer lock).
   OrientedRTree Clone() const;
@@ -72,10 +51,6 @@ class OrientedRTree {
   std::vector<RecordId> RangeSearch(const geo::BoundingBox& box,
                                     const RequestContext* ctx = nullptr) const;
 
-  /// Range search with an additional viewing-direction predicate.
-  std::vector<RecordId> RangeSearchDirected(const geo::BoundingBox& box,
-                                            const DirectionRange& dir) const;
-
   /// Record ids of FOVs containing the point `p`.
   std::vector<RecordId> PointQuery(const geo::GeoPoint& p,
                                    const RequestContext* ctx = nullptr) const;
@@ -89,13 +64,6 @@ class OrientedRTree {
   }
 
   size_t size() const { return fovs_.size(); }
-
-  /// Candidate count examined by the last Range/Point query; exposes the
-  /// filter-step selectivity for the index-ablation bench. Under
-  /// concurrent queries this is a point-in-time observation.
-  int64_t last_candidates() const {
-    return last_candidates_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct Stored {
@@ -115,7 +83,6 @@ class OrientedRTree {
   // Filter structure: R-tree over scene MBRs keyed by position in fovs_.
   RTree tree_;
   std::vector<Stored> fovs_;
-  mutable std::atomic<int64_t> last_candidates_ = 0;
 };
 
 }  // namespace tvdp::index

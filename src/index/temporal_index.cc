@@ -41,17 +41,4 @@ double TemporalIndex::CardinalityEstimate(Timestamp begin,
   return static_cast<double>(hi - lo);
 }
 
-std::vector<RecordId> TemporalIndex::MostRecent(Timestamp as_of, int k) const {
-  std::vector<RecordId> out;
-  if (k <= 0) return out;
-  auto hi = std::upper_bound(
-      entries_.begin(), entries_.end(), as_of,
-      [](Timestamp t, const auto& e) { return t < e.first; });
-  for (auto it = hi; it != entries_.begin() && static_cast<int>(out.size()) < k;) {
-    --it;
-    out.push_back(it->second);
-  }
-  return out;
-}
-
 }  // namespace tvdp::index

@@ -10,9 +10,9 @@
 namespace tvdp::index {
 
 /// Ordered index over capture timestamps, supporting temporal range
-/// queries ("all images captured in this window") and as-of scans. Backed
-/// by a sorted array with binary search; inserts keep the array sorted
-/// (bulk loads should use the batched constructor).
+/// queries ("all images captured in this window"). Backed by a sorted
+/// array with binary search; inserts keep the array sorted (bulk loads
+/// should use the batched constructor).
 class TemporalIndex {
  public:
   TemporalIndex() = default;
@@ -29,9 +29,6 @@ class TemporalIndex {
   /// InvalidArgument before reaching the index, so callers can tell "empty
   /// window" from "nonsensical window".
   std::vector<RecordId> RangeSearch(Timestamp begin, Timestamp end) const;
-
-  /// The `k` most recent records at or before `as_of`, newest first.
-  std::vector<RecordId> MostRecent(Timestamp as_of, int k) const;
 
   /// Statistics hook for the query planner: number of entries in
   /// [begin, end]. Exact (two binary searches on the sorted array) and

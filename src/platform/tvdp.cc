@@ -189,17 +189,6 @@ Result<int64_t> Tvdp::IngestImage(const ImageRecord& record) {
   return image_id;
 }
 
-Result<std::vector<int64_t>> Tvdp::IngestImages(
-    const std::vector<ImageRecord>& records) {
-  std::vector<int64_t> ids;
-  ids.reserve(records.size());
-  for (const auto& r : records) {
-    TVDP_ASSIGN_OR_RETURN(int64_t id, IngestImage(r));
-    ids.push_back(id);
-  }
-  return ids;
-}
-
 Result<int64_t> Tvdp::RegisterClassification(
     const std::string& name, const std::vector<std::string>& labels,
     const std::string& description) {
@@ -323,6 +312,10 @@ Status Tvdp::StoreFeature(int64_t image_id, const std::string& kind,
                           const ml::FeatureVector& feature) {
   if (feature.empty()) return Status::InvalidArgument("empty feature");
   CommitScope commit(engine_.get());
+  // A vector the kind's LSH would reject is refused before it is written,
+  // logged or shipped: a stored row that cannot be indexed would fail
+  // every later reindex (deletes, Open).
+  TVDP_RETURN_IF_ERROR(engine_->CheckFeatureDimLocked(kind, feature.size()));
   return InsertRow(tables::kImageVisualFeatures,
                    Row{Value(image_id), Value(kind),
                        Value(std::vector<double>(feature))})

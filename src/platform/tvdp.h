@@ -92,10 +92,6 @@ class Tvdp {
   /// Stores an image's metadata rows and indexes it. Returns the image id.
   Result<int64_t> IngestImage(const ImageRecord& record);
 
-  /// Batch ingest; returns ids in order.
-  Result<std::vector<int64_t>> IngestImages(
-      const std::vector<ImageRecord>& records);
-
   // --- Analysis ---
 
   /// Registers a classification task with its label set; idempotent on
@@ -134,7 +130,9 @@ class Tvdp {
   Result<int64_t> AnnotateImage(int64_t image_id,
                                 const AnnotationRecord& annotation);
 
-  /// Stores (and indexes) a visual feature vector for an image.
+  /// Stores (and indexes) a visual feature vector for an image. The first
+  /// vector of a kind fixes its dimensionality; a vector of another
+  /// length is InvalidArgument and writes nothing.
   Status StoreFeature(int64_t image_id, const std::string& kind,
                       const ml::FeatureVector& feature);
 

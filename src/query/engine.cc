@@ -45,7 +45,6 @@ AccessPaths QueryEngine::SnapshotPaths(const EngineSnapshot& snap) const {
   paths.temporal = snap.temporal.get();
   paths.keywords = snap.keywords.get();
   paths.lsh = &snap.lsh;
-  paths.visual_rtree = &snap.visual_rtree;
   paths.classifications = snap.classifications.get();
   return paths;
 }
@@ -118,21 +117,10 @@ void QueryEngine::PublishLocked() {
                  prev->lsh.count(kind);
     if (reuse) {
       snap->lsh[kind] = prev->lsh.at(kind);
-      shared += EstimateIndexBytes(lsh->size());
+      shared += EstimateIndexBytes(lsh.size());
     } else {
-      snap->lsh[kind] = lsh->Clone();
-      copied += EstimateIndexBytes(lsh->size());
-    }
-  }
-  for (const auto& [kind, tree] : visual_rtree_) {
-    bool reuse = prev && !dirty_feature_kinds_.count(kind) &&
-                 prev->visual_rtree.count(kind);
-    if (reuse) {
-      snap->visual_rtree[kind] = prev->visual_rtree.at(kind);
-      shared += EstimateIndexBytes(tree->size());
-    } else {
-      snap->visual_rtree[kind] = tree->Clone();
-      copied += EstimateIndexBytes(tree->size());
+      snap->lsh[kind] = std::make_shared<const index::LshIndex>(lsh);
+      copied += EstimateIndexBytes(lsh.size());
     }
   }
 
@@ -205,13 +193,13 @@ Status QueryEngine::IndexRowLocked(const std::string& table, const Row& row) {
     return keywords_.AddDocument(image_id, terms);
   }
 
-  // FOVs and features are placed at the camera: a primary-key lookup.
-  TVDP_ASSIGN_OR_RETURN(const Row* img, images->Get(image_id));
-  const storage::Schema& is = images->schema();
-  geo::GeoPoint camera{
-      (*img)[static_cast<size_t>(is.ColumnIndex("lat"))].AsDouble(),
-      (*img)[static_cast<size_t>(is.ColumnIndex("lon"))].AsDouble()};
   if (table == tables::kImageFov) {
+    // An FOV is placed at the camera: a primary-key lookup.
+    TVDP_ASSIGN_OR_RETURN(const Row* img, images->Get(image_id));
+    const storage::Schema& is = images->schema();
+    geo::GeoPoint camera{
+        (*img)[static_cast<size_t>(is.ColumnIndex("lat"))].AsDouble(),
+        (*img)[static_cast<size_t>(is.ColumnIndex("lon"))].AsDouble()};
     TVDP_ASSIGN_OR_RETURN(
         geo::FieldOfView fov,
         geo::FieldOfView::Make(camera, col("direction_deg").AsDouble(),
@@ -228,16 +216,22 @@ Status QueryEngine::IndexRowLocked(const std::string& table, const Row& row) {
     // The first vector of a kind fixes its dimensionality.
     index::LshIndex::Options lsh_options;
     lsh_options.pool = pool_;
-    lsh_it = lsh_.emplace(kind, std::make_shared<index::LshIndex>(
-                                    feature.size(), lsh_options))
-                 .first;
-    // The hybrid spatial-visual tree shares the same feature space.
-    visual_rtree_.emplace(
-        kind, std::make_shared<index::VisualRTree>(feature.size()));
+    lsh_it = lsh_.try_emplace(kind, feature.size(), lsh_options).first;
   }
-  TVDP_RETURN_IF_ERROR(lsh_it->second->Insert(feature, image_id));
+  TVDP_RETURN_IF_ERROR(lsh_it->second.Insert(feature, image_id));
   dirty_feature_kinds_.insert(kind);
-  return visual_rtree_[kind]->Insert(camera, feature, image_id);
+  return Status::OK();
+}
+
+Status QueryEngine::CheckFeatureDimLocked(const std::string& kind,
+                                          size_t dim) const {
+  auto it = lsh_.find(kind);
+  if (it != lsh_.end() && it->second.dim() != dim) {
+    return Status::InvalidArgument(
+        StrFormat("feature kind %s has dimensionality %zu, got %zu",
+                  kind.c_str(), it->second.dim(), dim));
+  }
+  return Status::OK();
 }
 
 Status QueryEngine::ReindexAllLocked() {
@@ -246,7 +240,6 @@ Status QueryEngine::ReindexAllLocked() {
   temporal_ = index::TemporalIndex();
   keywords_ = index::InvertedIndex();
   lsh_.clear();
-  visual_rtree_.clear();
   // An index left empty must still replace its published predecessor.
   dirty_points_ = dirty_fovs_ = dirty_temporal_ = dirty_keywords_ = true;
   for (const std::string& name : catalog_->TableNames()) {
@@ -309,22 +302,6 @@ Result<std::vector<QueryHit>> QueryEngine::Temporal(Timestamp begin,
                                                     Timestamp end) const {
   SnapshotRef snap = PinSnapshot();
   return EvalTemporal(SnapshotPaths(*snap), begin, end);
-}
-
-Result<std::vector<QueryHit>> QueryEngine::SpatialVisualTopK(
-    const geo::GeoPoint& p, const std::string& kind,
-    const ml::FeatureVector& feature, int k, double alpha) const {
-  SnapshotRef snap = PinSnapshot();
-  auto it = snap->visual_rtree.find(kind);
-  if (it == snap->visual_rtree.end()) {
-    return Status::NotFound("no hybrid index for kind: " + kind);
-  }
-  std::vector<QueryHit> out;
-  for (const auto& hit : it->second->TopK(p, feature, k, alpha)) {
-    out.push_back(QueryHit{hit.id, hit.visual, hit.score});
-  }
-  DedupHitsById(&out);
-  return out;
 }
 
 Result<std::vector<QueryHit>> QueryEngine::Execute(

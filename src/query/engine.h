@@ -19,7 +19,6 @@
 #include "index/oriented_rtree.h"
 #include "index/rtree.h"
 #include "index/temporal_index.h"
-#include "index/visual_rtree.h"
 #include "query/executor.h"
 #include "query/plan.h"
 #include "query/planner.h"
@@ -146,13 +145,6 @@ class QueryEngine {
                             const PlannerOptions& options =
                                 PlannerOptions()) const;
 
-  /// Spatial-visual top-k through the hybrid VisualRTree (single index,
-  /// blended alpha score) — the paper's hybrid-index fast path. Hits carry
-  /// score = the alpha-blended spatial-visual score.
-  Result<std::vector<QueryHit>> SpatialVisualTopK(
-      const geo::GeoPoint& p, const std::string& kind,
-      const ml::FeatureVector& feature, int k, double alpha) const;
-
   // --- Full-scan baselines (index ablation) ---
 
   /// SpatialRange evaluated by scanning all FOV rows.
@@ -238,12 +230,16 @@ class QueryEngine {
   /// Routes one stored catalog row (id first) to the index its table
   /// feeds: images -> point R-tree and temporal index; FOV -> oriented
   /// R-tree, placed at the image's camera; keywords -> inverted index;
-  /// features -> the kind's LSH and visual R-tree (the first vector of a
-  /// kind fixes its dimensionality). Other tables, and FOV/keyword/feature
-  /// rows whose image is gone, index nothing. Every write path calls it as
-  /// a row lands, so each index receives its own table's rows in storage
-  /// order, and a rebuilt engine equals the one that ingested row by row.
+  /// features -> the kind's LSH (the first vector of a kind fixes its
+  /// dimensionality). Other tables, and FOV/keyword/feature rows whose
+  /// image is gone, index nothing. Every write path calls it as a row
+  /// lands, so each index receives its own table's rows in storage order,
+  /// and a rebuilt engine equals the one that ingested row by row.
   Status IndexRowLocked(const std::string& table, const storage::Row& row);
+  /// InvalidArgument when `kind` already has an LSH of a dimensionality
+  /// other than `dim`: the facade checks a feature before it writes the
+  /// row, so IndexRowLocked never rejects a row that is already stored.
+  Status CheckFeatureDimLocked(const std::string& kind, size_t dim) const;
   /// Empties every index and replays each table once through
   /// IndexRowLocked: O(rows). Runs after a durable Open and after deletes
   /// (the indexes have no per-record delete).
@@ -257,8 +253,7 @@ class QueryEngine {
   index::OrientedRTree fovs_;
   index::TemporalIndex temporal_;
   index::InvertedIndex keywords_;
-  std::map<std::string, std::shared_ptr<index::LshIndex>> lsh_;
-  std::map<std::string, std::shared_ptr<index::VisualRTree>> visual_rtree_;
+  std::map<std::string, index::LshIndex> lsh_;
   /// Classification registry published with the next snapshot.
   std::shared_ptr<const ClassMap> class_map_ =
       std::make_shared<const ClassMap>();

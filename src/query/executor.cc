@@ -70,8 +70,10 @@ Result<int64_t> LookupTypeId(const AccessPaths& access,
   return type->second;
 }
 
-}  // namespace
-
+/// Keeps the first hit per image id, preserving order. Seeds such as LSH
+/// (one entry per stored vector) can surface the same image several times;
+/// hits arrive sorted by distance for visual seeds, so "first" is also
+/// "closest".
 void DedupHitsById(std::vector<QueryHit>* hits) {
   std::unordered_set<int64_t> seen;
   seen.reserve(hits->size());
@@ -83,6 +85,8 @@ void DedupHitsById(std::vector<QueryHit>* hits) {
   }
   hits->resize(w);
 }
+
+}  // namespace
 
 Result<std::vector<QueryHit>> EvalSpatialRange(const AccessPaths& access,
                                                const geo::BoundingBox& box,

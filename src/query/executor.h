@@ -47,12 +47,6 @@ Result<std::vector<QueryHit>> EvalTextual(const AccessPaths& access,
 Result<std::vector<QueryHit>> EvalTemporal(const AccessPaths& access,
                                            Timestamp begin, Timestamp end);
 
-/// Keeps the first hit per image id, preserving order. Seeds such as LSH
-/// (one entry per stored vector) can surface the same image several times;
-/// hits arrive sorted by distance for visual seeds, so "first" is also
-/// "closest".
-void DedupHitsById(std::vector<QueryHit>* hits);
-
 /// Pull-based physical operator. Execution proceeds at batch granularity:
 /// each Next() call returns up to a batch of rows, or nullopt once the
 /// stream is exhausted. Pipeline breakers (Verify, Rerank) drain their

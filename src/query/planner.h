@@ -12,7 +12,6 @@
 #include "index/oriented_rtree.h"
 #include "index/rtree.h"
 #include "index/temporal_index.h"
-#include "index/visual_rtree.h"
 #include "query/plan.h"
 #include "query/query.h"
 #include "query/snapshot.h"
@@ -33,9 +32,8 @@ struct AccessPaths {
   const index::OrientedRTree* fovs = nullptr;
   const index::TemporalIndex* temporal = nullptr;
   const index::InvertedIndex* keywords = nullptr;
-  const std::map<std::string, std::shared_ptr<index::LshIndex>>* lsh = nullptr;
-  const std::map<std::string, std::shared_ptr<index::VisualRTree>>*
-      visual_rtree = nullptr;
+  const std::map<std::string, std::shared_ptr<const index::LshIndex>>* lsh =
+      nullptr;
   const ClassMap* classifications = nullptr;
 };
 

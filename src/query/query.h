@@ -93,7 +93,6 @@ struct QueryBudget {
 /// lower is better, 0 means "boolean membership, no ranking signal".
 ///  - SpatialKnn: exact geodesic distance in meters.
 ///  - VisualTopK / VisualThreshold: L2 feature distance.
-///  - SpatialVisualTopK: the alpha-blended spatial-visual score.
 ///  - Hybrid Execute: L2 feature distance when a visual predicate
 ///    participated, else 0.
 ///  - SpatialRange / VisibleAt / Categorical / Textual / Temporal: 0.
@@ -103,8 +102,6 @@ struct QueryBudget {
 struct QueryHit {
   int64_t image_id = 0;
   /// Visual distance when a visual predicate participated, else 0.
-  /// (Kept alongside `score` for callers that specifically want the
-  /// visual component of a blended score.)
   double visual_distance = 0;
   /// The unified ranking score (see convention above).
   double score = 0;

@@ -13,7 +13,6 @@
 #include "index/oriented_rtree.h"
 #include "index/rtree.h"
 #include "index/temporal_index.h"
-#include "index/visual_rtree.h"
 #include "storage/table.h"
 
 namespace tvdp::query {
@@ -51,15 +50,12 @@ struct EngineSnapshot {
   /// Immutable per-version view of the catalog tables.
   storage::TableSet tables;
 
-  /// Frozen indexes. Non-const map values for lsh/visual_rtree (the map
-  /// type AccessPaths names); immutability is by convention (queries only
-  /// call const methods).
+  /// Frozen indexes, one per query family (LSH: one per feature kind).
   std::shared_ptr<const index::RTree> points;
   std::shared_ptr<const index::OrientedRTree> fovs;
   std::shared_ptr<const index::TemporalIndex> temporal;
   std::shared_ptr<const index::InvertedIndex> keywords;
-  std::map<std::string, std::shared_ptr<index::LshIndex>> lsh;
-  std::map<std::string, std::shared_ptr<index::VisualRTree>> visual_rtree;
+  std::map<std::string, std::shared_ptr<const index::LshIndex>> lsh;
 
   /// Classification registry at this version.
   std::shared_ptr<const ClassMap> classifications;

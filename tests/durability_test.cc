@@ -815,6 +815,77 @@ TEST_F(DurabilityTest, RebuiltEnginesServeByteIdenticalEnvelopes) {
   EXPECT_EQ(ApiEnvelopes(&*reopened), removed);
 }
 
+TEST_F(DurabilityTest, MismatchedFeatureDimensionWritesNothing) {
+  // The first "cnn" vector fixes the kind at 16-d. An 8-d vector, through
+  // the facade or through add_data, must be refused before it is logged:
+  // a stored row the LSH cannot take would fail every later reindex
+  // (deletes) and every Open of the log.
+  const std::string base = Path("tvdp");
+  const geo::BoundingBox everywhere =
+      geo::BoundingBox::FromCorners({33.9, -118.4}, {34.1, -118.2});
+  {
+    auto opened = platform::Tvdp::Open(base);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    platform::Tvdp& tvdp = *opened;
+    std::vector<int64_t> ids;
+    for (int i = 0; i < 3; ++i) {
+      platform::ImageRecord rec;
+      rec.uri = "img://" + std::to_string(i);
+      rec.location = geo::GeoPoint{34.0 + i * 0.001, -118.3};
+      rec.captured_at = 10 * (i + 1);
+      auto id = tvdp.IngestImage(rec);
+      ASSERT_TRUE(id.ok()) << id.status();
+      ids.push_back(*id);
+    }
+    ASSERT_TRUE(tvdp.StoreFeature(ids[0], "cnn", ml::FeatureVector(16, 0.25))
+                    .ok());
+    const storage::Table* features =
+        tvdp.catalog().GetTable(storage::tables::kImageVisualFeatures);
+    ASSERT_EQ(features->size(), 1u);
+
+    Status direct = tvdp.StoreFeature(ids[1], "cnn", ml::FeatureVector(8, 0.5));
+    EXPECT_EQ(direct.code(), StatusCode::kInvalidArgument) << direct;
+    EXPECT_EQ(features->size(), 1u);
+
+    // add_data stores the image, then refuses its feature.
+    platform::ModelRegistry registry;
+    platform::ApiService api(&tvdp, &registry);
+    const std::string key = api.CreateApiKey("dims");
+    auto request = Json::Parse(
+        R"({"lat":34.01,"lon":-118.3,"captured_at":40,)"
+        R"("features":{"cnn":[1,2,3,4,5,6,7,8]}})");
+    ASSERT_TRUE(request.ok());
+    auto added = api.HandleRequest(key, "add_data", *request);
+    ASSERT_FALSE(added.ok());
+    EXPECT_EQ(added.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(features->size(), 1u);
+    EXPECT_EQ(tvdp.image_count(), 4u);
+
+    // A delete reindexes every table; the three survivors stay queryable.
+    ASSERT_TRUE(tvdp.RemoveImages({ids[2]}).ok());
+    auto temporal = tvdp.query().Temporal(0, 100);
+    ASSERT_TRUE(temporal.ok()) << temporal.status();
+    EXPECT_EQ(temporal->size(), 3u);
+    auto spatial = tvdp.query().SpatialRange(everywhere);
+    ASSERT_TRUE(spatial.ok()) << spatial.status();
+    EXPECT_EQ(spatial->size(), 3u);
+  }
+
+  auto reopened = platform::Tvdp::Open(base);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(reopened->image_count(), 3u);
+  EXPECT_EQ(reopened->catalog()
+                .GetTable(storage::tables::kImageVisualFeatures)
+                ->size(),
+            1u);
+  auto temporal = reopened->query().Temporal(0, 100);
+  ASSERT_TRUE(temporal.ok()) << temporal.status();
+  EXPECT_EQ(temporal->size(), 3u);
+  auto spatial = reopened->query().SpatialRange(everywhere);
+  ASSERT_TRUE(spatial.ok()) << spatial.status();
+  EXPECT_EQ(spatial->size(), 3u);
+}
+
 TEST_F(DurabilityTest, TvdpIngestHitsIoErrorAndStaysUsable) {
   const std::string base = Path("tvdp");
   FaultInjectingFs fault_fs(Fs::Default());

@@ -9,7 +9,6 @@
 #include "index/oriented_rtree.h"
 #include "index/rtree.h"
 #include "index/temporal_index.h"
-#include "index/visual_rtree.h"
 
 namespace tvdp::index {
 namespace {
@@ -164,26 +163,6 @@ TEST(OrientedRTreeTest, RangeSearchRefinesByExactSector) {
   EXPECT_TRUE(tree.RangeSearch(south_box).empty());
 }
 
-TEST(OrientedRTreeTest, DirectedSearchFiltersDirection) {
-  OrientedRTree tree;
-  geo::GeoPoint cam{34.05, -118.25};
-  for (int d = 0; d < 360; d += 45) {
-    auto fov = geo::FieldOfView::Make(
-        geo::Destination(cam, d, 10), d, 60, 300);
-    ASSERT_TRUE(fov.ok());
-    ASSERT_TRUE(tree.Insert(*fov, d).ok());
-  }
-  geo::BoundingBox everything = geo::BoundingBox::FromCenterRadius(cam, 2000);
-  EXPECT_EQ(tree.RangeSearch(everything).size(), 8u);
-  DirectionRange north{0, 30};
-  std::vector<RecordId> north_hits =
-      tree.RangeSearchDirected(everything, north);
-  ASSERT_EQ(north_hits.size(), 1u);
-  EXPECT_EQ(north_hits[0], 0);
-  DirectionRange wide{90, 60};
-  EXPECT_EQ(tree.RangeSearchDirected(everything, wide).size(), 3u);
-}
-
 TEST(OrientedRTreeTest, PointQueryMatchesFovContainment) {
   Rng rng(44);
   OrientedRTree tree;
@@ -205,16 +184,7 @@ TEST(OrientedRTreeTest, PointQueryMatchesFovContainment) {
     }
     std::vector<RecordId> got = tree.PointQuery(probe);
     EXPECT_EQ(std::set<RecordId>(got.begin(), got.end()), expected);
-    EXPECT_LE(static_cast<size_t>(tree.last_candidates()), tree.size());
   }
-}
-
-TEST(DirectionRangeTest, WrapsAroundNorth) {
-  DirectionRange r{350, 20};
-  EXPECT_TRUE(r.Contains(350));
-  EXPECT_TRUE(r.Contains(5));
-  EXPECT_TRUE(r.Contains(335));
-  EXPECT_FALSE(r.Contains(180));
 }
 
 // Seam sweep: every direction-sector predicate must behave identically for
@@ -223,19 +193,6 @@ TEST(DirectionRangeTest, WrapsAroundNorth) {
 // sides of north ([335°, 5°]); naive |bearing - theta| comparisons break
 // exactly here.
 class SeamHeadingTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(SeamHeadingTest, DirectionRangeContains) {
-  const double theta = GetParam();
-  DirectionRange r{theta, 15};
-  for (double off : {-14.0, 0.0, 14.0}) {
-    EXPECT_TRUE(r.Contains(geo::NormalizeBearing(theta + off)))
-        << "theta=" << theta << " off=" << off;
-  }
-  for (double off : {-20.0, 20.0, 90.0, 180.0}) {
-    EXPECT_FALSE(r.Contains(geo::NormalizeBearing(theta + off)))
-        << "theta=" << theta << " off=" << off;
-  }
-}
 
 TEST_P(SeamHeadingTest, FovCoversBearing) {
   const double theta = GetParam();
@@ -274,26 +231,6 @@ TEST_P(SeamHeadingTest, PointQueryAcrossSeam) {
     EXPECT_TRUE(tree.PointQuery(p).empty())
         << "theta=" << theta << " off=" << off;
   }
-}
-
-TEST_P(SeamHeadingTest, DirectedSearchAcrossSeam) {
-  const double theta = GetParam();
-  geo::GeoPoint cam{34.05, -118.25};
-  OrientedRTree tree;
-  auto fov = geo::FieldOfView::Make(cam, theta, 30, 300);
-  ASSERT_TRUE(fov.ok());
-  ASSERT_TRUE(tree.Insert(*fov, 1).ok());
-  auto south = geo::FieldOfView::Make(cam, 180, 30, 300);
-  ASSERT_TRUE(south.ok());
-  ASSERT_TRUE(tree.Insert(*south, 2).ok());
-  geo::BoundingBox everything = geo::BoundingBox::FromCenterRadius(cam, 2000);
-  // A query sector offset across the seam from the heading still matches it.
-  DirectionRange probe{geo::NormalizeBearing(theta + 20), 25};
-  std::vector<RecordId> hits = tree.RangeSearchDirected(everything, probe);
-  EXPECT_EQ(hits, std::vector<RecordId>{1}) << "theta=" << theta;
-  DirectionRange away{geo::NormalizeBearing(theta + 90), 20};
-  EXPECT_TRUE(tree.RangeSearchDirected(everything, away).empty())
-      << "theta=" << theta;
 }
 
 INSTANTIATE_TEST_SUITE_P(SeamCrossingHeadings, SeamHeadingTest,
@@ -412,20 +349,6 @@ TEST(InvertedIndexTest, DocumentFrequencyAndVocab) {
   EXPECT_EQ(idx.document_count(), 2u);
 }
 
-TEST(InvertedIndexTest, RankedPrefersRareTermsAndHighTf) {
-  InvertedIndex idx;
-  // "encampment" is rare, "street" is everywhere.
-  for (int i = 1; i <= 20; ++i) {
-    std::vector<std::string> terms = {"street"};
-    if (i == 7) terms.push_back("encampment");
-    idx.AddDocument(i, terms).ok();
-  }
-  auto ranked = idx.QueryRanked({"encampment", "street"}, 5);
-  ASSERT_FALSE(ranked.empty());
-  EXPECT_EQ(ranked[0].first, 7);
-  EXPECT_GT(ranked[0].second, ranked[1].second);
-}
-
 TEST(InvertedIndexTest, ReAddingDocAccumulatesTf) {
   InvertedIndex idx;
   idx.AddDocument(1, {"x"}).ok();
@@ -475,102 +398,6 @@ TEST(TemporalIndexTest, BulkConstructorSorts) {
   EXPECT_EQ(idx.max_timestamp(), 300);
   auto all = idx.RangeSearch(0, 1000);
   EXPECT_EQ(all, (std::vector<RecordId>{1, 2, 3}));
-}
-
-TEST(TemporalIndexTest, MostRecent) {
-  TemporalIndex idx({{100, 1}, {200, 2}, {300, 3}, {400, 4}});
-  auto recent = idx.MostRecent(350, 2);
-  ASSERT_EQ(recent.size(), 2u);
-  EXPECT_EQ(recent[0], 3);
-  EXPECT_EQ(recent[1], 2);
-  EXPECT_TRUE(idx.MostRecent(50, 3).empty());
-  EXPECT_EQ(idx.MostRecent(1000, 99).size(), 4u);
-}
-
-// ---------- VisualRTree ----------
-
-TEST(VisualRTreeTest, InsertValidation) {
-  VisualRTree tree(4);
-  EXPECT_FALSE(tree.Insert(geo::GeoPoint{34, -118}, {1, 2}, 1).ok());
-  EXPECT_FALSE(tree.Insert(geo::GeoPoint{99, -118}, {1, 2, 3, 4}, 1).ok());
-  EXPECT_TRUE(tree.Insert(geo::GeoPoint{34, -118}, {1, 2, 3, 4}, 1).ok());
-}
-
-TEST(VisualRTreeTest, TopKExactUnderBlendedScore) {
-  Rng rng(9);
-  const size_t dim = 8;
-  VisualRTree::Options opts;
-  opts.spatial_norm_deg = 0.1;
-  opts.visual_norm = 4.0;
-  VisualRTree tree(dim, opts);
-  struct Item {
-    geo::GeoPoint loc;
-    ml::FeatureVector feat;
-  };
-  std::vector<Item> items;
-  for (int i = 0; i < 400; ++i) {
-    Item item;
-    item.loc = geo::GeoPoint{rng.Uniform(34.0, 34.2),
-                             rng.Uniform(-118.4, -118.2)};
-    item.feat.resize(dim);
-    for (double& x : item.feat) x = rng.Normal();
-    items.push_back(item);
-    ASSERT_TRUE(tree.Insert(item.loc, item.feat, i).ok());
-  }
-  for (double alpha : {0.0, 0.3, 0.7, 1.0}) {
-    geo::GeoPoint probe{34.1, -118.3};
-    ml::FeatureVector qfeat(dim, 0.0);
-    auto hits = tree.TopK(probe, qfeat, 10, alpha);
-    ASSERT_EQ(hits.size(), 10u);
-    // Brute-force the same score.
-    std::vector<std::pair<double, RecordId>> exact;
-    for (int i = 0; i < 400; ++i) {
-      const Item& item = items[static_cast<size_t>(i)];
-      geo::BoundingBox b;
-      b.min_lat = b.max_lat = item.loc.lat;
-      b.min_lon = b.max_lon = item.loc.lon;
-      double score = alpha * MinDistDeg(probe, b) / opts.spatial_norm_deg +
-                     (1 - alpha) * ml::L2Distance(qfeat, item.feat) /
-                         opts.visual_norm;
-      exact.push_back({score, i});
-    }
-    std::sort(exact.begin(), exact.end());
-    for (size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_NEAR(hits[i].score, exact[i].first, 1e-9)
-          << "alpha=" << alpha << " rank " << i;
-    }
-  }
-}
-
-TEST(VisualRTreeTest, TopKPrunesNodes) {
-  Rng rng(10);
-  const size_t dim = 8;
-  VisualRTree tree(dim);
-  for (int i = 0; i < 2000; ++i) {
-    ml::FeatureVector f(dim);
-    for (double& x : f) x = rng.Normal();
-    ASSERT_TRUE(tree.Insert(geo::GeoPoint{rng.Uniform(34.0, 34.2),
-                                          rng.Uniform(-118.4, -118.2)},
-                            f, i)
-                    .ok());
-  }
-  ml::FeatureVector q(dim, 0.0);
-  tree.TopK(geo::GeoPoint{34.1, -118.3}, q, 5, 0.8);
-  // With heavy spatial weighting, the search should not visit every node.
-  EXPECT_LT(tree.last_nodes_visited(),
-            static_cast<int64_t>(tree.size()) / 4);
-}
-
-TEST(VisualRTreeTest, RangeSearchFiltersBoth) {
-  VisualRTree tree(2);
-  ASSERT_TRUE(tree.Insert(geo::GeoPoint{34.05, -118.25}, {0, 0}, 1).ok());
-  ASSERT_TRUE(tree.Insert(geo::GeoPoint{34.05, -118.25}, {5, 5}, 2).ok());
-  ASSERT_TRUE(tree.Insert(geo::GeoPoint{35.00, -118.25}, {0, 0}, 3).ok());
-  geo::BoundingBox box =
-      geo::BoundingBox::FromCenterRadius(geo::GeoPoint{34.05, -118.25}, 500);
-  auto hits = tree.RangeSearch(box, {0, 0}, 1.0);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].id, 1);
 }
 
 }  // namespace

@@ -293,6 +293,58 @@ TEST(MvccTest, VersionAdvancesAndStatsTrack) {
   EXPECT_EQ(tvdp.MvccStats()["pinned_snapshots"].AsInt(), 0);
 }
 
+TEST(MvccTest, CommitCopiesOnlyWhatItTouched) {
+  auto created = SeedPlatform(20);  // 8-d "cnn" features
+  ASSERT_TRUE(created.ok()) << created.status();
+  Tvdp tvdp = std::move(created).value();
+  QueryEngine& engine = tvdp.query();
+  auto id = tvdp.IngestImage(MakeImage(20));
+  ASSERT_TRUE(id.ok()) << id.status();
+  ASSERT_TRUE(tvdp.StoreFeature(*id, "hist", ml::FeatureVector(3, 0.5)).ok());
+
+  // A feature commit copies the features table and its kind's LSH only.
+  SnapshotRef before = engine.PinSnapshot();
+  ASSERT_TRUE(tvdp.StoreFeature(*id, "cnn", ml::FeatureVector(8, 0.25)).ok());
+  SnapshotRef after = engine.PinSnapshot();
+  ASSERT_GT(after->version, before->version);
+  ASSERT_EQ(after->tables.size(), before->tables.size());
+  for (const auto& [name, table] : after->tables) {
+    if (name == tables::kImageVisualFeatures) {
+      EXPECT_NE(table, before->tables.at(name)) << name;
+    } else {
+      EXPECT_EQ(table, before->tables.at(name)) << name;
+    }
+  }
+  EXPECT_NE(after->lsh.at("cnn"), before->lsh.at("cnn"));
+  EXPECT_EQ(after->lsh.at("hist"), before->lsh.at("hist"));
+  EXPECT_EQ(after->points, before->points);
+  EXPECT_EQ(after->fovs, before->fovs);
+  EXPECT_EQ(after->temporal, before->temporal);
+  EXPECT_EQ(after->keywords, before->keywords);
+  EXPECT_EQ(after->classifications, before->classifications);
+
+  // An image commit with an FOV and keywords leaves every feature
+  // component shared.
+  ImageRecord rec = MakeImage(21);
+  auto fov = geo::FieldOfView::Make(rec.location, 90, 60, 100);
+  ASSERT_TRUE(fov.ok());
+  rec.fov = *fov;
+  ASSERT_TRUE(tvdp.IngestImage(rec).ok());
+  SnapshotRef ingested = engine.PinSnapshot();
+  EXPECT_EQ(ingested->tables.at(tables::kImageVisualFeatures),
+            after->tables.at(tables::kImageVisualFeatures));
+  EXPECT_EQ(ingested->lsh.at("cnn"), after->lsh.at("cnn"));
+  EXPECT_EQ(ingested->lsh.at("hist"), after->lsh.at("hist"));
+  for (const char* name : {tables::kImages, tables::kImageFov,
+                           tables::kImageManualKeywords}) {
+    EXPECT_NE(ingested->tables.at(name), after->tables.at(name)) << name;
+  }
+  EXPECT_NE(ingested->points, after->points);
+  EXPECT_NE(ingested->fovs, after->fovs);
+  EXPECT_NE(ingested->temporal, after->temporal);
+  EXPECT_NE(ingested->keywords, after->keywords);
+}
+
 // ---------- durability ----------
 
 TEST(MvccTest, CrashRecoveryRebuildsSamePublishedVersion) {

@@ -408,19 +408,6 @@ TEST_F(QueryEngineTest, PlannerSeedsWithMostSelectivePredicate) {
       << plan.LegacySummary();
 }
 
-TEST_F(QueryEngineTest, SpatialVisualTopKThroughHybridIndex) {
-  ml::FeatureVector probe(4, 0.1);
-  probe[0] = 1.0;
-  auto hits = engine().SpatialVisualTopK(geo::GeoPoint{34.0, -118.3}, "cnn",
-                                         probe, 5, 0.5);
-  ASSERT_TRUE(hits.ok());
-  EXPECT_EQ(hits->size(), 5u);
-  EXPECT_FALSE(
-      engine().SpatialVisualTopK(geo::GeoPoint{34.0, -118.3}, "nope", probe,
-                                 5, 0.5)
-          .ok());
-}
-
 TEST_F(QueryEngineTest, ScoreConventionIsUniformAcrossFamilies) {
   // Every family agrees on "ascending, lower is better, 0 = boolean
   // membership", so hits from different operators can be merged and
