@@ -2,7 +2,9 @@
 # Lock audit: every read pins an MVCC snapshot, never takes a lock and
 # writes no shared state, and this check keeps it that way. It counts
 # shared_lock acquisitions in the query engine and the read endpoints, and
-# mutable members in the indexes, and fails when a new one appears.
+# mutable members in the indexes, and fails when a new one appears. It also
+# keeps the platform to one storage mode: every engine commits through the
+# WAL, so nothing in src/platform/ branches on whether it has one.
 #
 # Budgets (comment lines are not counted):
 #   shared_lock in
@@ -13,6 +15,9 @@
 #                               path over catalog/index state)
 #   mutable in
 #     src/index/            0   index queries are const and write nothing
+#   storage-mode branches (durable_ ?, if (durable_), durable(), path.empty())
+#     src/platform/         1   the Fs choice in ShardManager::Create: a
+#                               fleet without a base path gets a MemFs
 set -u
 cd "$(dirname "$0")/.."
 
@@ -41,13 +46,16 @@ check "src/platform/tvdp.cc" 'shared_lock' 0 src/platform/tvdp.cc
 check "src/platform/export.cc" 'shared_lock' 0 src/platform/export.cc
 check "src/platform/api.cc" 'shared_lock' 2 src/platform/api.cc
 check "src/index/" '\bmutable\b' 0 src/index/
+check "src/platform/" 'durable_ \?|if \(durable_\)|durable\(\)|path\.empty\(\)' 1 \
+  src/platform/
 
 if [ "$fail" -ne 0 ]; then
   echo
   echo "Reads must pin an MVCC snapshot (QueryEngine::PinSnapshot) instead"
   echo "of taking the engine lock shared, and an index query must not write"
   echo "state that concurrent readers share. See DESIGN.md 'MVCC snapshots"
-  echo "and copy-on-write storage'."
+  echo "and copy-on-write storage'. Every engine and fleet commits through"
+  echo "the WAL (in memory over a MemFs): see DESIGN.md 'Durability model'."
   exit 1
 fi
 echo "lock audit passed"

@@ -132,6 +132,29 @@ class PosixFs : public Fs {
   }
 };
 
+/// A MemFs handle holds the file's bytes, not its path (POSIX semantics).
+class MemFile : public WritableFile {
+ public:
+  MemFile(std::mutex* mutex, std::shared_ptr<std::vector<uint8_t>> bytes)
+      : mutex_(mutex), bytes_(std::move(bytes)) {}
+
+  Status Append(const uint8_t* data, size_t n) override {
+    if (!bytes_) return Status::Internal("append to closed file");
+    std::lock_guard<std::mutex> lock(*mutex_);
+    bytes_->insert(bytes_->end(), data, data + n);
+    return Status::OK();
+  }
+  Status Sync() override { return Status::OK(); }
+  Status Close() override {
+    bytes_.reset();
+    return Status::OK();
+  }
+
+ private:
+  std::mutex* mutex_;
+  std::shared_ptr<std::vector<uint8_t>> bytes_;
+};
+
 }  // namespace
 
 Fs* Fs::Default() {
@@ -157,6 +180,59 @@ Status AtomicWriteFile(Fs& fs, const std::string& path,
                                  s.message());
   }
   return fs.SyncDirOf(path);
+}
+
+Result<std::unique_ptr<WritableFile>> MemFs::OpenWritable(
+    const std::string& path, bool truncate) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto& file = files_[path];
+  if (!file) file = std::make_shared<std::vector<uint8_t>>();
+  if (truncate) file->clear();
+  return {std::unique_ptr<WritableFile>(
+      std::make_unique<MemFile>(&mutex_, file))};
+}
+
+Result<std::vector<uint8_t>> MemFs::ReadAll(const std::string& path) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = files_.find(path);
+  if (it == files_.end()) return Status::IOError("no such file: " + path);
+  return *it->second;
+}
+
+Result<uint64_t> MemFs::FileSize(const std::string& path) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = files_.find(path);
+  if (it == files_.end()) return Status::IOError("no such file: " + path);
+  return static_cast<uint64_t>(it->second->size());
+}
+
+bool MemFs::Exists(const std::string& path) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return files_.count(path) > 0;
+}
+
+Status MemFs::Rename(const std::string& from, const std::string& to) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = files_.find(from);
+  if (it == files_.end()) return Status::IOError("no such file: " + from);
+  auto file = std::move(it->second);
+  files_.erase(it);
+  files_[to] = std::move(file);
+  return Status::OK();
+}
+
+Status MemFs::Remove(const std::string& path) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (files_.erase(path) == 0) return Status::IOError("no such file: " + path);
+  return Status::OK();
+}
+
+Status MemFs::Truncate(const std::string& path, uint64_t size) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = files_.find(path);
+  if (it == files_.end()) return Status::IOError("no such file: " + path);
+  it->second->resize(static_cast<size_t>(size));
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------

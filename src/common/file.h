@@ -2,7 +2,9 @@
 #define TVDP_COMMON_FILE_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -63,6 +65,28 @@ class Fs {
 /// every failure path.
 Status AtomicWriteFile(Fs& fs, const std::string& path,
                        const std::vector<uint8_t>& bytes);
+
+/// An in-memory `Fs`: files are byte vectors in one map behind one mutex,
+/// so a whole fleet's stores can share it. A handle appends to the file it
+/// opened even after that path is renamed over or removed (as on POSIX).
+/// `Sync` and `SyncDirOf` do nothing. Wrap it in a `FaultInjectingFs` for
+/// faults.
+class MemFs : public Fs {
+ public:
+  Result<std::unique_ptr<WritableFile>> OpenWritable(const std::string& path,
+                                                     bool truncate) override;
+  Result<std::vector<uint8_t>> ReadAll(const std::string& path) override;
+  Result<uint64_t> FileSize(const std::string& path) override;
+  bool Exists(const std::string& path) override;
+  Status Rename(const std::string& from, const std::string& to) override;
+  Status Remove(const std::string& path) override;
+  Status Truncate(const std::string& path, uint64_t size) override;
+  Status SyncDirOf(const std::string&) override { return Status::OK(); }
+
+ private:
+  std::mutex mutex_;
+  std::map<std::string, std::shared_ptr<std::vector<uint8_t>>> files_;
+};
 
 /// An `Fs` decorator that injects storage faults for robustness tests:
 ///

@@ -22,53 +22,45 @@ Status ReplicaSet::Attach(const std::shared_ptr<Tvdp>& primary,
   std::vector<Replica> replicas;
   std::vector<storage::WalRecord> bootstrap = primary->SnapshotRecords();
   for (const std::string& path : replica_paths) {
-    Replica rep;
-    rep.base_path = path;
-    if (path.empty()) {
-      TVDP_ASSIGN_OR_RETURN(Tvdp engine, Tvdp::Create());
-      rep.engine = std::make_shared<Tvdp>(std::move(engine));
-    } else {
-      // Wipe whatever a previous incarnation (e.g. a demoted stale primary)
-      // left at the path: the replica re-bootstraps from the live primary,
-      // which is the only state that survived the failover.
-      for (const char* suffix : {".snapshot", ".wal", ".broadcast"}) {
-        std::string file = path + suffix;
-        if (fs->Exists(file)) TVDP_RETURN_IF_ERROR(fs->Remove(file));
-      }
-      TVDP_ASSIGN_OR_RETURN(Tvdp engine, Tvdp::Open(path, durable));
-      rep.engine = std::make_shared<Tvdp>(std::move(engine));
+    // Wipe whatever a previous incarnation (e.g. a demoted stale primary)
+    // left at the path: the replica re-bootstraps from the live primary,
+    // which is the only state that survived the failover.
+    for (const char* suffix : {".snapshot", ".wal", ".broadcast"}) {
+      std::string file = path + suffix;
+      if (fs->Exists(file)) TVDP_RETURN_IF_ERROR(fs->Remove(file));
     }
+    TVDP_ASSIGN_OR_RETURN(Tvdp engine, Tvdp::Open(path, durable));
+    Replica rep;
+    rep.engine = std::make_shared<Tvdp>(std::move(engine));
     TVDP_ASSIGN_OR_RETURN(size_t bootstrapped,
                           rep.engine->ApplyReplicated(bootstrap));
-    if (!path.empty()) {
-      TVDP_RETURN_IF_ERROR(rep.engine->durable_catalog()->Flush());
-    }
+    TVDP_RETURN_IF_ERROR(rep.engine->durable_catalog()->Flush());
     rep.live = true;
     rep.applied = bootstrapped;
     replicas.push_back(std::move(rep));
   }
 
-  uint64_t offset =
-      primary->durable() ? primary->durable_catalog()->wal_size_bytes() : 0;
+  uint64_t offset = primary->durable_catalog()->wal_size_bytes();
   {
     std::lock_guard<std::mutex> lock(members_mutex_);
     replicas_ = std::move(replicas);
     shipped_wal_offset_ = offset;
     sync_ = sync;
   }
+  InstallObserver(primary);
+  return Status::OK();
+}
+
+void ReplicaSet::InstallObserver(const std::shared_ptr<Tvdp>& primary) {
   // Weak handle: the observer must not keep a dropped (killed) primary
   // alive. It runs under the primary's writer lock, after the mutation
-  // committed, so the durable WAL's size_bytes() is the record's post-
-  // append boundary — the offset promotion tails from.
+  // committed, so the WAL's size_bytes() is the record's post-append
+  // boundary — the offset promotion tails from.
   std::weak_ptr<Tvdp> weak = primary;
   primary->SetMutationObserver([this, weak](const storage::WalRecord& record) {
-    uint64_t off = 0;
-    if (std::shared_ptr<Tvdp> p = weak.lock()) {
-      if (p->durable()) off = p->durable_catalog()->wal_size_bytes();
-    }
-    Capture(record, off);
+    std::shared_ptr<Tvdp> p = weak.lock();
+    Capture(record, p ? p->durable_catalog()->wal_size_bytes() : 0);
   });
-  return Status::OK();
 }
 
 void ReplicaSet::Detach(const std::shared_ptr<Tvdp>& primary) {
@@ -76,20 +68,12 @@ void ReplicaSet::Detach(const std::shared_ptr<Tvdp>& primary) {
 }
 
 void ReplicaSet::Rebind(const std::shared_ptr<Tvdp>& primary) {
-  uint64_t offset =
-      primary->durable() ? primary->durable_catalog()->wal_size_bytes() : 0;
+  uint64_t offset = primary->durable_catalog()->wal_size_bytes();
   {
     std::lock_guard<std::mutex> lock(members_mutex_);
     shipped_wal_offset_ = offset;
   }
-  std::weak_ptr<Tvdp> weak = primary;
-  primary->SetMutationObserver([this, weak](const storage::WalRecord& record) {
-    uint64_t off = 0;
-    if (std::shared_ptr<Tvdp> p = weak.lock()) {
-      if (p->durable()) off = p->durable_catalog()->wal_size_bytes();
-    }
-    Capture(record, off);
-  });
+  InstallObserver(primary);
 }
 
 Status ReplicaSet::FsyncReplicas() {
@@ -98,7 +82,7 @@ Status ReplicaSet::FsyncReplicas() {
   {
     std::lock_guard<std::mutex> lock(members_mutex_);
     for (const Replica& r : replicas_) {
-      if (r.live && r.engine && r.engine->durable()) live.push_back(r.engine);
+      if (r.live && r.engine) live.push_back(r.engine);
     }
   }
   for (const auto& engine : live) {
@@ -170,7 +154,7 @@ Status ReplicaSet::ApplyBatchLocked(
   for (auto& [r, engine] : live) {
     Result<size_t> newly_applied = engine->ApplyReplicated(batch);
     Status applied = newly_applied.status();
-    if (applied.ok() && fsync && engine->durable()) {
+    if (applied.ok() && fsync) {
       applied = engine->durable_catalog()->Flush();
     }
     std::lock_guard<std::mutex> lock(members_mutex_);

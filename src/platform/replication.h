@@ -20,8 +20,8 @@ namespace tvdp::platform {
 /// replication (DESIGN.md "Replication, failover, and fencing").
 enum class SyncLevel {
   /// The record is applied to every live replica — and fsynced into each
-  /// durable replica's own WAL — before the client ack. Losing the primary
-  /// loses nothing that was acknowledged.
+  /// replica's own WAL — before the client ack. Losing the primary loses
+  /// nothing that was acknowledged.
   kSync = 0,
   /// The record is acknowledged once the primary committed it; replicas
   /// apply in the background with a bounded lag (`max_async_lag_records`,
@@ -65,12 +65,11 @@ class ReplicaSet {
  public:
   ReplicaSet(int shard, int64_t epoch);
 
-  /// Opens `replica_paths.size()` replica engines (durable when the path is
-  /// non-empty — any stale on-disk state at the path is wiped first — else
-  /// in-memory), bootstraps each from the primary's current state, and
-  /// installs the capture observer on the primary. Durable replicas are
-  /// opened with sync_on_commit off; `Ship` fsyncs them explicitly when the
-  /// sync level demands it.
+  /// Opens `replica_paths.size()` replica engines on `durable.fs` (any
+  /// stale state at a path is wiped first), bootstraps each from the
+  /// primary's current state, and installs the capture observer on the
+  /// primary. Replicas are opened with sync_on_commit off; `Ship` fsyncs
+  /// them explicitly when the sync level demands it.
   Status Attach(const std::shared_ptr<Tvdp>& primary,
                 const std::vector<std::string>& replica_paths,
                 storage::DurableCatalogOptions durable, SyncLevel sync);
@@ -85,12 +84,12 @@ class ReplicaSet {
   /// raised by the fence) keeps any stragglers from the old primary out.
   void Rebind(const std::shared_ptr<Tvdp>& primary);
 
-  /// fsyncs every live durable replica's WAL — the promotion "ack" phase
+  /// fsyncs every live replica's WAL — the promotion "ack" phase
   /// (under kAsync the background ships never fsynced).
   Status FsyncReplicas();
 
   /// Applies every captured-but-unshipped record to every live replica;
-  /// with kSync the durable replicas are fsynced before returning. A
+  /// with kSync the replicas are fsynced before returning. A
   /// replica that fails to apply is marked dead (the write is NOT failed —
   /// a sick replica must not take down the primary's availability); its
   /// death is visible through `live_replica_count` / `StatsJson`.
@@ -98,19 +97,19 @@ class ReplicaSet {
 
   /// Crash model: the primary died with the channel unshipped — the
   /// captured records are gone (promotion re-derives them from the
-  /// primary's on-disk WAL tail when one exists).
+  /// primary's WAL tail).
   void DiscardPending();
 
   /// Applies `records` (e.g. a recovered WAL tail) to every live replica
-  /// and fsyncs durable ones — the promotion "apply" phase.
+  /// and fsyncs them — the promotion "apply" phase.
   Status ApplyToLive(const std::vector<storage::WalRecord>& records);
 
   /// Captured records not yet shipped (the kAsync lag, 0 under kSync).
   size_t lag_records() const;
 
-  /// Primary-WAL byte offset covered by shipping so far (0 for in-memory
-  /// primaries; regresses are impossible — compaction invalidates it and
-  /// the promotion tail read guards on file size).
+  /// Primary-WAL byte offset covered by shipping so far (regresses are
+  /// impossible — compaction invalidates it and the promotion tail read
+  /// guards on file size).
   uint64_t shipped_wal_offset() const;
 
   int replica_count() const;
@@ -153,8 +152,10 @@ class ReplicaSet {
     std::shared_ptr<Tvdp> engine;
     bool live = false;
     uint64_t applied = 0;
-    std::string base_path;  ///< "" = in-memory
   };
+
+  /// Installs the capture observer on `primary`.
+  void InstallObserver(const std::shared_ptr<Tvdp>& primary);
 
   /// The observer body: appends (record, post-append WAL offset) to the
   /// channel unless the record's epoch is stale. Runs under the primary's

@@ -173,6 +173,14 @@ Result<std::unique_ptr<ShardManager>> ShardManager::Create(
 
   auto mgr =
       std::unique_ptr<ShardManager>(new ShardManager(std::move(options)));
+  // Every shard and replica commits through its own WAL; a fleet without a
+  // base path keeps all of them in one MemFs of its own.
+  storage::DurableCatalogOptions& durable = mgr->options_.durable;
+  if (!durable.fs && mgr->options_.base_path.empty()) {
+    mgr->mem_fs_ = std::make_unique<MemFs>();
+    durable.fs = mgr->mem_fs_.get();
+  }
+  if (!durable.fs) durable.fs = Fs::Default();
   const ShardManagerOptions& opts = mgr->options_;
   const int n = opts.shard_count;
 
@@ -188,10 +196,7 @@ Result<std::unique_ptr<ShardManager>> ShardManager::Create(
   }
   // A persisted shard map (written at a migration's cutover) overrides the
   // configured assignments: committed cell moves survive restarts.
-  bool had_shard_map = false;
-  if (!opts.base_path.empty()) {
-    TVDP_ASSIGN_OR_RETURN(had_shard_map, mgr->LoadShardMap());
-  }
+  TVDP_ASSIGN_OR_RETURN(bool had_shard_map, mgr->LoadShardMap());
 
   mgr->slots_.resize(static_cast<size_t>(n));
   Rng seed_rng(opts.fault_seed);
@@ -200,42 +205,37 @@ Result<std::unique_ptr<ShardManager>> ShardManager::Create(
     Slot& slot = mgr->slots_[static_cast<size_t>(i)];
     slot.rng = seed_rng.Fork();
     mgr->RecomputeCellsLocked(i);
-    if (opts.base_path.empty()) {
-      TVDP_ASSIGN_OR_RETURN(Tvdp t, Tvdp::Create());
-      slot.tvdp = std::make_shared<Tvdp>(std::move(t));
-    } else {
-      // Evidence-only failover recovery: the persisted shard map names the
-      // copy path whose engine is the primary (a crash between a
-      // promotion's commit point and its in-memory flip resolves here —
-      // the promoted replica's path opens as the primary, the stale old
-      // primary's path is wiped and re-bootstrapped as a replica below, so
-      // its forked history can never serve).
-      if (i < static_cast<int>(mgr->boot_primaries_.size())) {
-        slot.primary_index = mgr->boot_primaries_[static_cast<size_t>(i)];
-        slot.epoch = mgr->boot_epochs_[static_cast<size_t>(i)];
-      }
-      if (slot.primary_index < 0 || slot.primary_index >= rf) {
-        return Status::FailedPrecondition(
-            "shard_map.json promotes shard " + std::to_string(i) +
-            " to copy " + std::to_string(slot.primary_index) +
-            " but replication_factor is " + std::to_string(rf));
-      }
-      slot.base_path = mgr->CopyPath(i, slot.primary_index);
-      TVDP_ASSIGN_OR_RETURN(Tvdp t, Tvdp::Open(slot.base_path, opts.durable));
-      slot.tvdp = std::make_shared<Tvdp>(std::move(t));
-      slot.tvdp->set_epoch(slot.epoch);
-      storage::DurableCatalog* dc = slot.tvdp->durable_catalog();
-      slot.replayed = dc->replayed_records();
-      // The spillover prune margin must survive a reopen: recompute it from
-      // the recovered catalog instead of restarting at 0 (which silently
-      // dropped FOV-overlap matches near shard borders).
-      slot.max_fov_radius_m = slot.tvdp->MaxFovRadiusM();
-      for (const storage::PendingBroadcast& p : dc->PendingBroadcasts()) {
-        slot.pending_broadcasts[p.broadcast_id] = p;
-      }
-      mgr->next_broadcast_id_ =
-          std::max(mgr->next_broadcast_id_, dc->max_broadcast_id() + 1);
+    // Evidence-only failover recovery: the persisted shard map names the
+    // copy path whose engine is the primary (a crash between a promotion's
+    // commit point and its in-memory flip resolves here — the promoted
+    // replica's path opens as the primary, the stale old primary's path is
+    // wiped and re-bootstrapped as a replica below, so its forked history
+    // can never serve).
+    if (i < static_cast<int>(mgr->boot_primaries_.size())) {
+      slot.primary_index = mgr->boot_primaries_[static_cast<size_t>(i)];
+      slot.epoch = mgr->boot_epochs_[static_cast<size_t>(i)];
     }
+    if (slot.primary_index < 0 || slot.primary_index >= rf) {
+      return Status::FailedPrecondition(
+          "shard_map.json promotes shard " + std::to_string(i) + " to copy " +
+          std::to_string(slot.primary_index) + " but replication_factor is " +
+          std::to_string(rf));
+    }
+    TVDP_ASSIGN_OR_RETURN(
+        Tvdp t, Tvdp::Open(mgr->CopyPath(i, slot.primary_index), opts.durable));
+    slot.tvdp = std::make_shared<Tvdp>(std::move(t));
+    slot.tvdp->set_epoch(slot.epoch);
+    storage::DurableCatalog* dc = slot.tvdp->durable_catalog();
+    slot.replayed = dc->replayed_records();
+    // The spillover prune margin must survive a reopen: recompute it from
+    // the recovered catalog instead of restarting at 0 (which silently
+    // dropped FOV-overlap matches near shard borders).
+    slot.max_fov_radius_m = slot.tvdp->MaxFovRadiusM();
+    for (const storage::PendingBroadcast& p : dc->PendingBroadcasts()) {
+      slot.pending_broadcasts[p.broadcast_id] = p;
+    }
+    mgr->next_broadcast_id_ =
+        std::max(mgr->next_broadcast_id_, dc->max_broadcast_id() + 1);
     if (rf > 1) {
       slot.replicas = std::make_shared<ReplicaSet>(i, slot.epoch);
       TVDP_RETURN_IF_ERROR(mgr->AttachReplicas(i, slot.tvdp,
@@ -351,7 +351,7 @@ Result<int64_t> ShardManager::IngestImage(const ImageRecord& record) {
     shard = cell_to_shard_[static_cast<size_t>(CellForLocation(
         record.location))];
     const Slot& slot = slots_[static_cast<size_t>(shard)];
-    if (slot.killed || !slot.tvdp) {
+    if (!slot.tvdp) {
       return Status::Unavailable("shard " + std::to_string(shard) +
                                  " is down");
     }
@@ -369,7 +369,6 @@ Result<int64_t> ShardManager::IngestImage(const ImageRecord& record) {
 }
 
 std::string ShardManager::CopyPath(int shard, int copy) const {
-  if (options_.base_path.empty()) return std::string();
   std::string base = options_.base_path + "/shard_" + std::to_string(shard);
   if (copy == 0) return base;
   return base + "_replica_" + std::to_string(copy - 1);
@@ -437,17 +436,15 @@ Status ShardManager::AppendBroadcastTo(int shard,
     // snapshotted before a KillShard must never receive broadcast writes —
     // a "crashed" shard that kept durably logging would falsify the crash
     // model the reconciliation tests rely on.
-    if (slot.killed || !slot.tvdp) {
+    if (!slot.tvdp) {
       return Status::Unavailable("shard " + std::to_string(shard) +
                                  " is down");
     }
     tvdp = slot.tvdp;
   }
-  if (tvdp->durable_catalog()) {
-    // fsyncs before returning; deliberately outside slots_mutex_ so query
-    // dispatch never blocks behind a broadcast's disk write.
-    TVDP_RETURN_IF_ERROR(tvdp->durable_catalog()->AppendBroadcast(record));
-  }
+  // fsyncs before returning; deliberately outside slots_mutex_ so query
+  // dispatch never blocks behind a broadcast's disk write.
+  TVDP_RETURN_IF_ERROR(tvdp->durable_catalog()->AppendBroadcast(record));
   std::lock_guard<std::mutex> lock(slots_mutex_);
   Slot& slot = slots_[static_cast<size_t>(shard)];
   if (record.type == storage::WalRecordType::kBroadcastIntent ||
@@ -478,7 +475,7 @@ Result<int64_t> ShardManager::RegisterClassification(
     std::lock_guard<std::mutex> lock(slots_mutex_);
     for (int i = 0; i < n; ++i) {
       const Slot& slot = slots_[static_cast<size_t>(i)];
-      if (slot.killed || !slot.tvdp) {
+      if (!slot.tvdp) {
         return Status::Unavailable("shard " + std::to_string(i) +
                                    " is down; classification broadcast "
                                    "requires the full fleet");
@@ -539,7 +536,7 @@ Result<int64_t> ShardManager::RegisterClassification(
     {
       std::lock_guard<std::mutex> lock(slots_mutex_);
       Slot& slot = slots_[static_cast<size_t>(i)];
-      if (slot.killed || !slot.tvdp) {
+      if (!slot.tvdp) {
         return Status::Unavailable("shard " + std::to_string(i) +
                                    " went down during broadcast " +
                                    std::to_string(bid) +
@@ -629,7 +626,7 @@ Result<Json> ShardManager::ReconcileLocked() {
     std::lock_guard<std::mutex> lock(slots_mutex_);
     for (int i = 0; i < n; ++i) {
       const Slot& slot = slots_[static_cast<size_t>(i)];
-      alive[static_cast<size_t>(i)] = !slot.killed && slot.tvdp != nullptr;
+      alive[static_cast<size_t>(i)] = slot.tvdp != nullptr;
       if (alive[static_cast<size_t>(i)]) {
         handles[static_cast<size_t>(i)] = slot.tvdp;
       } else {
@@ -863,7 +860,7 @@ Result<Json> ShardManager::ReconcileLocked() {
     std::lock_guard<std::mutex> lock(slots_mutex_);
     for (int i = 0; i < n; ++i) {
       const Slot& slot = slots_[static_cast<size_t>(i)];
-      if (!slot.migrating || slot.killed || !slot.tvdp) continue;
+      if (!slot.migrating || !slot.tvdp) continue;
       if (migration_.active &&
           (i == migration_.source || i == migration_.target)) {
         continue;
@@ -914,8 +911,7 @@ Status ShardManager::VerifyConsistencyLocked(Json* detail) const {
   {
     std::lock_guard<std::mutex> lock(slots_mutex_);
     for (int i = 0; i < n; ++i) {
-      const Slot& slot = slots_[static_cast<size_t>(i)];
-      handles[static_cast<size_t>(i)] = slot.killed ? nullptr : slot.tvdp;
+      handles[static_cast<size_t>(i)] = slots_[static_cast<size_t>(i)].tvdp;
     }
   }
   int ref = -1;
@@ -1083,13 +1079,12 @@ Status ShardManager::WriteShardMapLocked(
   for (int p : persisted_primaries_) jpr.Append(Json(p));
   doc["primaries"] = std::move(jpr);
   const std::string text = doc.Dump();
-  Fs* fs = options_.durable.fs ? options_.durable.fs : Fs::Default();
-  return AtomicWriteFile(*fs, ShardMapPath(),
+  return AtomicWriteFile(*options_.durable.fs, ShardMapPath(),
                          std::vector<uint8_t>(text.begin(), text.end()));
 }
 
 Result<bool> ShardManager::LoadShardMap() {
-  Fs* fs = options_.durable.fs ? options_.durable.fs : Fs::Default();
+  Fs* fs = options_.durable.fs;
   const std::string path = ShardMapPath();
   if (!fs->Exists(path)) return false;
   TVDP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, fs->ReadAll(path));
@@ -1152,7 +1147,7 @@ Status ShardManager::SweepForeignRowsTicketed(int shard) {
   {
     std::lock_guard<std::mutex> lock(slots_mutex_);
     const Slot& slot = slots_[static_cast<size_t>(shard)];
-    if (slot.killed || !slot.tvdp) {
+    if (!slot.tvdp) {
       return Status::Unavailable("shard " + std::to_string(shard) +
                                  " is down");
     }
@@ -1319,11 +1314,11 @@ Result<Json> ShardManager::RebalanceCellsInner(const std::vector<int>& cells,
     }
     const Slot& s = slots_[static_cast<size_t>(source)];
     const Slot& t = slots_[static_cast<size_t>(target)];
-    if (s.killed || !s.tvdp) {
+    if (!s.tvdp) {
       return Status::FailedPrecondition("source shard " +
                                         std::to_string(source) + " is down");
     }
-    if (t.killed || !t.tvdp) {
+    if (!t.tvdp) {
       return Status::FailedPrecondition("target shard " +
                                         std::to_string(target) + " is down");
     }
@@ -1419,15 +1414,14 @@ Result<Json> ShardManager::RebalanceCellsInner(const std::vector<int>& cells,
   auto in_cells = [this, cell_set](const geo::GeoPoint& p) {
     return cell_set.count(CellForLocation(p)) > 0;
   };
-  // Fail fast on a killed endpoint: the snapshotted handles would keep
-  // working, but durably writing to a "crashed" shard would falsify the
-  // crash model recovery is tested against. Checked after every hook call
-  // too — fault hooks kill shards mid-phase to simulate exactly that.
+  // Fail fast on a killed endpoint (its fenced handle refuses writes
+  // anyway). Checked after every hook call too — fault hooks kill shards
+  // mid-phase to simulate exactly that.
   auto endpoints_down = [this, source, target]() {
     std::lock_guard<std::mutex> lock(slots_mutex_);
     const Slot& s = slots_[static_cast<size_t>(source)];
     const Slot& t = slots_[static_cast<size_t>(target)];
-    return s.killed || !s.tvdp || t.killed || !t.tvdp;
+    return !s.tvdp || !t.tvdp;
   };
   constexpr int kMaxCatchUpPasses = 6;
   for (int pass = 0; pass < kMaxCatchUpPasses; ++pass) {
@@ -1487,39 +1481,36 @@ Result<Json> ShardManager::RebalanceCellsInner(const std::vector<int>& cells,
   // state) nor have its own committed epoch regressed by us (the write
   // sources epochs/primaries from the persisted vectors it maintains).
   std::unique_lock<std::mutex> map_lock(shard_map_mutex_);
-  if (!options_.base_path.empty()) {
-    std::vector<int> new_cell_map;
-    std::vector<std::array<int64_t, 3>> new_relocs;
-    std::vector<int64_t> new_committed;
-    {
-      std::lock_guard<std::mutex> lock(slots_mutex_);
-      new_cell_map = cell_to_shard_;
-      for (int c : cells) new_cell_map[static_cast<size_t>(c)] = target;
-      for (const auto& [global, loc] : relocated_) {
-        new_relocs.push_back({global, loc.first, loc.second});
-      }
-      const auto& src_reverse =
-          slots_[static_cast<size_t>(source)].reverse_relocations;
-      for (const auto& [slocal, tlocal] : migration_.relocations) {
-        int64_t global = slocal * n + source;
-        if (src_reverse) {
-          auto rit = src_reverse->find(slocal);
-          if (rit != src_reverse->end()) global = rit->second;
-        }
-        new_relocs.push_back({global, target, tlocal});
-      }
-      new_committed.assign(committed_migrations_.begin(),
-                           committed_migrations_.end());
-      new_committed.push_back(mid);
+  std::vector<int> new_cell_map;
+  std::vector<std::array<int64_t, 3>> new_relocs;
+  std::vector<int64_t> new_committed;
+  {
+    std::lock_guard<std::mutex> lock(slots_mutex_);
+    new_cell_map = cell_to_shard_;
+    for (int c : cells) new_cell_map[static_cast<size_t>(c)] = target;
+    for (const auto& [global, loc] : relocated_) {
+      new_relocs.push_back({global, loc.first, loc.second});
     }
-    Status saved = WriteShardMapLocked(new_cell_map, new_relocs,
-                                       new_committed);
-    if (!saved.ok()) {
-      map_lock.unlock();
-      UnblockWrites();
-      (void)AbandonMigration("");
-      return saved;
+    const auto& src_reverse =
+        slots_[static_cast<size_t>(source)].reverse_relocations;
+    for (const auto& [slocal, tlocal] : migration_.relocations) {
+      int64_t global = slocal * n + source;
+      if (src_reverse) {
+        auto rit = src_reverse->find(slocal);
+        if (rit != src_reverse->end()) global = rit->second;
+      }
+      new_relocs.push_back({global, target, tlocal});
     }
+    new_committed.assign(committed_migrations_.begin(),
+                         committed_migrations_.end());
+    new_committed.push_back(mid);
+  }
+  Status saved = WriteShardMapLocked(new_cell_map, new_relocs, new_committed);
+  if (!saved.ok()) {
+    map_lock.unlock();
+    UnblockWrites();
+    (void)AbandonMigration("");
+    return saved;
   }
   {
     std::lock_guard<std::mutex> lock(slots_mutex_);
@@ -1631,7 +1622,7 @@ Result<int64_t> ShardManager::AnnotateImage(
       local = image_id / n;
     }
     const Slot& slot = slots_[static_cast<size_t>(shard)];
-    if (slot.killed || !slot.tvdp) {
+    if (!slot.tvdp) {
       return Status::Unavailable("shard " + std::to_string(shard) +
                                  " is down");
     }
@@ -1664,7 +1655,7 @@ Status ShardManager::StoreFeature(int64_t image_id, const std::string& kind,
       local = image_id / n;
     }
     const Slot& slot = slots_[static_cast<size_t>(shard)];
-    if (slot.killed || !slot.tvdp) {
+    if (!slot.tvdp) {
       return Status::Unavailable("shard " + std::to_string(shard) +
                                  " is down");
     }
@@ -1698,7 +1689,7 @@ Result<ml::FeatureVector> ShardManager::GetFeature(
       local = image_id / n;
     }
     const Slot& slot = slots_[static_cast<size_t>(shard)];
-    if (slot.killed || !slot.tvdp) {
+    if (!slot.tvdp) {
       return Status::Unavailable("shard " + std::to_string(shard) +
                                  " is down");
     }
@@ -1727,7 +1718,7 @@ Result<Json> ShardManager::ImageRowJson(int64_t image_id) const {
       local = image_id / n;
     }
     const Slot& slot = slots_[static_cast<size_t>(shard)];
-    if (slot.killed || !slot.tvdp) {
+    if (!slot.tvdp) {
       return Status::Unavailable("shard " + std::to_string(shard) +
                                  " is down");
     }
@@ -1893,8 +1884,7 @@ void ShardManager::RecordProbeOutcome(const query::ShardReport& report) const {
     {
       std::lock_guard<std::mutex> lock(slots_mutex_);
       const Slot& slot = slots_[static_cast<size_t>(report.shard)];
-      promotable = slot.replicas && (slot.killed || !slot.tvdp) &&
-                   !slot.promoting;
+      promotable = slot.replicas && !slot.tvdp && !slot.promoting;
     }
     if (promotable) {
       Result<Json> promoted =
@@ -1927,15 +1917,14 @@ Result<ShardManager::ShardedQueryResult> ShardManager::ExecuteQuery(
           if (handle) replicas.push_back(std::move(handle));
         }
         if (options_.replication.balance_replica_reads &&
-            !replicas.empty() && !slot.killed && slot.tvdp) {
+            !replicas.empty() && slot.tvdp) {
           // Round-robin the clean read across primary + replicas; lane 0
           // is the primary (preferred stays -1).
           const size_t lane = slot.read_rr++ % (replicas.size() + 1);
           if (lane > 0) preferred = static_cast<int>(lane - 1);
         }
       }
-      targets.emplace_back(this, static_cast<int>(i),
-                           slot.killed ? nullptr : slot.tvdp,
+      targets.emplace_back(this, static_cast<int>(i), slot.tvdp,
                            ExpandedRegionLocked(static_cast<int>(i)),
                            slot.migrating, std::move(replicas), preferred);
     }
@@ -2008,8 +1997,7 @@ Result<Json> ShardManager::ExplainQuery(const query::HybridQuery& q,
   {
     std::lock_guard<std::mutex> lock(slots_mutex_);
     for (size_t i = 0; i < slots_.size(); ++i) {
-      shards.emplace_back(static_cast<int>(i),
-                          slots_[i].killed ? nullptr : slots_[i].tvdp);
+      shards.emplace_back(static_cast<int>(i), slots_[i].tvdp);
     }
   }
   if (shards.size() == 1) {
@@ -2059,44 +2047,48 @@ Status ShardManager::SetShardFaults(int shard,
   return Status::OK();
 }
 
-Status ShardManager::KillShard(int shard, bool drop_state) {
+Status ShardManager::KillShard(int shard, bool force) {
   if (shard < 0 || shard >= shard_count()) {
     return Status::InvalidArgument("shard index out of range");
   }
+  const Status down = Status::FailedPrecondition(
+      "shard " + std::to_string(shard) + " is already down");
+  std::shared_ptr<Tvdp> engine;
+  {
+    std::lock_guard<std::mutex> lock(slots_mutex_);
+    Slot& slot = slots_[static_cast<size_t>(shard)];
+    if (!slot.tvdp) return down;
+    if (slot.migrating && !force) {
+      return Status::FailedPrecondition(
+          "shard " + std::to_string(shard) +
+          " is an endpoint of an in-flight cell migration; pass force to "
+          "kill it anyway (the migration will abandon and reconcile later)");
+    }
+    engine = slot.tvdp;
+  }
+  // A writer that took the handle before the kill must not append to the
+  // WAL that recovery reopens: the fence waits out a commit in flight and
+  // refuses every later write through the handle. It lands before the slot
+  // reads as down, so no RecoverShard can reopen the files under a commit.
+  engine->Fence(
+      Status::Unavailable("shard " + std::to_string(shard) + " is down"));
   std::shared_ptr<ReplicaSet> reps;
   {
     std::lock_guard<std::mutex> lock(slots_mutex_);
     Slot& slot = slots_[static_cast<size_t>(shard)];
-    if (slot.killed) {
-      return Status::FailedPrecondition("shard " + std::to_string(shard) +
-                                        " is already down");
-    }
-    if (slot.migrating && !drop_state) {
-      return Status::FailedPrecondition(
-          "shard " + std::to_string(shard) +
-          " is an endpoint of an in-flight cell migration; pass drop_state "
-          "to kill it anyway (the migration will abandon and reconcile "
-          "later)");
-    }
-    slot.killed = true;
-    if (!slot.base_path.empty() || drop_state) {
-      // A durable shard crashes for real: drop the engine (no checkpoint,
-      // no flush) so recovery has to replay the WAL. In-flight probes keep
-      // their snapshotted handle and finish against the old instance. An
-      // in-memory shard only loses its engine under the explicit total-loss
-      // model (`drop_state`) — there is no WAL to rebuild it from.
-      slot.tvdp.reset();
-      // Total loss on an in-memory shard takes its broadcast log with it;
-      // durable shards keep the mirror because the on-disk log survives.
-      if (slot.base_path.empty()) slot.pending_broadcasts.clear();
-    }
+    if (slot.tvdp != engine) return down;  // a racing kill or promotion
+    // The shard crashes as a process does: the engine is dropped with no
+    // checkpoint and no flush, and its files stay for recovery to replay.
+    // In-flight probes keep their snapshotted handle and finish against
+    // the old instance.
+    slot.tvdp.reset();
     reps = slot.replicas;
   }
   if (reps) {
     // The crash takes the unshipped capture channel with it. Under kSync
     // the channel is empty at every ack boundary, so no acknowledged write
-    // is in it; under kAsync a durable shard's promotion re-derives the
-    // lost records from the primary's on-disk WAL tail.
+    // is in it; under kAsync the promotion re-derives the lost records
+    // from the primary's WAL tail.
     reps->DiscardPending();
     if (reps->has_live_replica()) {
       // Automatic failover: promote the most-caught-up replica. Best
@@ -2129,35 +2121,27 @@ Status ShardManager::RecoverShardInner(int shard) {
   // broadcast_mutex_ before slots_mutex_, never the reverse).
   WriteTicket ticket(this);
   std::lock_guard<std::mutex> block(broadcast_mutex_);
-  std::string base_path;
+  std::string path;
   {
     std::lock_guard<std::mutex> lock(slots_mutex_);
     Slot& slot = slots_[static_cast<size_t>(shard)];
-    if (!slot.killed) {
+    if (slot.tvdp) {
       return Status::FailedPrecondition("shard " + std::to_string(shard) +
                                         " is not down");
     }
-    if (slot.base_path.empty() && !slot.tvdp) {
-      // An in-memory shard that lost its engine has no WAL to replay;
-      // "recovering" it would put an empty zombie back into rotation.
-      return Status::FailedPrecondition(
-          "shard " + std::to_string(shard) +
-          " is in-memory with no engine to revive (nothing to replay)");
-    }
-    base_path = slot.base_path;
+    path = CopyPath(shard, slot.primary_index);
   }
+  // Reopen outside slots_mutex_ — WAL replay is disk-bound and must not
+  // stall query dispatch. The slot stays down until the swap below, so
+  // no other caller can race the handle.
+  TVDP_ASSIGN_OR_RETURN(Tvdp t, Tvdp::Open(path, options_.durable));
+  auto revived_primary = std::make_shared<Tvdp>(std::move(t));
   std::shared_ptr<ReplicaSet> reps;
-  std::shared_ptr<Tvdp> revived_primary;
   int primary_index = 0;
-  if (!base_path.empty()) {
-    // Reopen outside slots_mutex_ — WAL replay is disk-bound and must not
-    // stall query dispatch. The slot stays killed until the swap below, so
-    // no other caller can race the handle.
-    TVDP_ASSIGN_OR_RETURN(Tvdp t, Tvdp::Open(base_path, options_.durable));
-    auto revived = std::make_shared<Tvdp>(std::move(t));
+  {
     std::lock_guard<std::mutex> lock(slots_mutex_);
     Slot& slot = slots_[static_cast<size_t>(shard)];
-    slot.tvdp = std::move(revived);
+    slot.tvdp = revived_primary;
     slot.tvdp->set_epoch(slot.epoch);
     storage::DurableCatalog* dc = slot.tvdp->durable_catalog();
     slot.replayed = dc->replayed_records();
@@ -2168,19 +2152,10 @@ Status ShardManager::RecoverShardInner(int shard) {
     }
     next_broadcast_id_ =
         std::max(next_broadcast_id_, dc->max_broadcast_id() + 1);
-    slot.killed = false;
     reps = slot.replicas;
-    revived_primary = slot.tvdp;
-    primary_index = slot.primary_index;
-  } else {
-    std::lock_guard<std::mutex> lock(slots_mutex_);
-    Slot& slot = slots_[static_cast<size_t>(shard)];
-    slot.killed = false;
-    reps = slot.replicas;
-    revived_primary = slot.tvdp;
     primary_index = slot.primary_index;
   }
-  if (reps && revived_primary) {
+  if (reps) {
     // The replicas may have drifted past the recovered primary (they kept
     // the shipped records the crash destroyed locally under kAsync) or
     // behind it; rather than diff, wipe and re-bootstrap them from the
@@ -2208,7 +2183,6 @@ bool ShardManager::PromotionHookOk(const char* phase, int shard) const {
 
 Status ShardManager::CommitPromotionToShardMap(int shard, int64_t new_epoch,
                                                int new_primary_index) {
-  if (options_.base_path.empty()) return Status::OK();
   // shard_map_mutex_ first (it orders before slots_mutex_): the mutex both
   // serializes this write against a concurrent rebalance cutover's and
   // pins the cell snapshot below to the cutover's write-then-flip critical
@@ -2296,39 +2270,35 @@ Result<Json> ShardManager::PromoteShard(int shard) {
     if (!PromotionHookOk("ship", shard)) return abandoned("ship");
     TVDP_RETURN_IF_ERROR(reps->Ship());
 
-    // Phase 2 — apply: a durable primary that died with unshipped records
-    // (the kAsync window, or a crash that destroyed the channel) left them
-    // in its WAL; tail it past the shipped offset and apply. This is what
-    // makes "zero lost acknowledged writes" hold for durable shards even
-    // under kAsync.
+    // Phase 2 — apply: a primary that died with unshipped records (the
+    // kAsync window, or a crash that destroyed the channel) left them in
+    // its WAL; tail it past the shipped offset and apply. This is what
+    // makes "zero lost acknowledged writes" hold even under kAsync.
     if (!PromotionHookOk("apply", shard)) return abandoned("apply");
     size_t applied_tail = 0;
-    const std::string old_primary_path = CopyPath(shard, old_primary_index);
-    if (!old_primary_path.empty()) {
-      Fs* fs = options_.durable.fs ? options_.durable.fs : Fs::Default();
-      const std::string wal_path = old_primary_path + ".wal";
-      if (fs->Exists(wal_path)) {
-        Result<storage::WalRecovery> tail =
-            storage::Wal::TailFrom(fs, wal_path, reps->shipped_wal_offset());
-        // Tail errors are not fatal: a compacted WAL means the shipped
-        // offset over-covers the log and nothing is missing.
-        if (tail.ok() && !tail->records.empty()) {
-          std::vector<storage::WalRecord> mutations;
-          for (storage::WalRecord& r : tail->records) {
-            if (r.type == storage::WalRecordType::kInsert ||
-                r.type == storage::WalRecordType::kDelete) {
-              mutations.push_back(std::move(r));
-            }
+    Fs* fs = options_.durable.fs;
+    const std::string wal_path = CopyPath(shard, old_primary_index) + ".wal";
+    if (fs->Exists(wal_path)) {
+      Result<storage::WalRecovery> tail =
+          storage::Wal::TailFrom(fs, wal_path, reps->shipped_wal_offset());
+      // Tail errors are not fatal: a compacted WAL means the shipped
+      // offset over-covers the log and nothing is missing.
+      if (tail.ok() && !tail->records.empty()) {
+        std::vector<storage::WalRecord> mutations;
+        for (storage::WalRecord& r : tail->records) {
+          if (r.type == storage::WalRecordType::kInsert ||
+              r.type == storage::WalRecordType::kDelete) {
+            mutations.push_back(std::move(r));
           }
-          if (!mutations.empty()) {
-            TVDP_RETURN_IF_ERROR(reps->ApplyToLive(mutations));
-            applied_tail = mutations.size();
-          }
+        }
+        if (!mutations.empty()) {
+          TVDP_RETURN_IF_ERROR(reps->ApplyToLive(mutations));
+          applied_tail = mutations.size();
         }
       }
     }
 
-    // Phase 3 — ack: every live durable replica fsyncs its own WAL, so the
+    // Phase 3 — ack: every live replica fsyncs its own WAL, so the
     // promoted state survives a second crash.
     if (!PromotionHookOk("ack", shard)) return abandoned("ack");
     TVDP_RETURN_IF_ERROR(reps->FsyncReplicas());
@@ -2381,15 +2351,17 @@ Result<Json> ShardManager::PromoteShard(int shard) {
       return Status::Internal("elected replica vanished during promotion");
     }
     engine->set_epoch(new_epoch);
+    // A replica commits without an fsync, because Ship syncs each batch;
+    // as the primary it acks writes, so it takes on the fleet's setting.
+    engine->durable_catalog()->set_sync_on_commit(
+        options_.durable.sync_on_commit);
     const double fov = engine->MaxFovRadiusM();
     {
       std::lock_guard<std::mutex> lock(slots_mutex_);
       Slot& slot = slots_[static_cast<size_t>(shard)];
       slot.tvdp = engine;
-      slot.killed = false;
       slot.epoch = new_epoch;
       slot.primary_index = new_primary_index;
-      slot.base_path = CopyPath(shard, new_primary_index);
       slot.max_fov_radius_m = std::max(slot.max_fov_radius_m, fov);
     }
     reps->Rebind(engine);
@@ -2497,7 +2469,7 @@ bool ShardManager::shard_alive(int shard) const {
   if (shard < 0 || shard >= shard_count()) return false;
   std::lock_guard<std::mutex> lock(slots_mutex_);
   const Slot& slot = slots_[static_cast<size_t>(shard)];
-  return !slot.killed && slot.tvdp != nullptr;
+  return slot.tvdp != nullptr;
 }
 
 edge::CircuitState ShardManager::breaker_state(int shard) const {
@@ -2531,14 +2503,13 @@ Json ShardManager::StatsJson() const {
     {
       std::lock_guard<std::mutex> lock(slots_mutex_);
       const Slot& slot = slots_[static_cast<size_t>(i)];
-      tvdp = slot.killed ? nullptr : slot.tvdp;
+      tvdp = slot.tvdp;
       reps = slot.replicas;
       s["epoch"] = Json(slot.epoch);
       s["primary_index"] = Json(slot.primary_index);
       s["promoting"] = Json(slot.promoting);
       s["shard"] = Json(i);
-      s["alive"] = Json(!slot.killed && slot.tvdp != nullptr);
-      s["durable"] = Json(!slot.base_path.empty());
+      s["alive"] = Json(slot.tvdp != nullptr);
       s["probes"] = Json(slot.probes);
       s["failures"] = Json(slot.failures);
       s["probe_p50_ms"] = Json(Percentile(slot.latencies, 50));
@@ -2565,10 +2536,7 @@ Json ShardManager::StatsJson() const {
     }
     s["images"] = Json(tvdp ? tvdp->image_count() : 0);
     if (tvdp) s["mvcc"] = tvdp->MvccStats();
-    s["wal_bytes"] =
-        Json(tvdp && tvdp->durable_catalog()
-                 ? tvdp->durable_catalog()->wal_size_bytes()
-                 : 0);
+    s["wal_bytes"] = Json(tvdp ? tvdp->durable_catalog()->wal_size_bytes() : 0);
     // Self-locked; read outside slots_mutex_ so a mid-ship stats call
     // never stalls dispatch.
     if (reps) s["replication"] = reps->StatsJson();
@@ -2603,7 +2571,7 @@ size_t ShardManager::image_count() const {
   {
     std::lock_guard<std::mutex> lock(slots_mutex_);
     for (const Slot& slot : slots_) {
-      if (!slot.killed && slot.tvdp) live.push_back(slot.tvdp);
+      if (slot.tvdp) live.push_back(slot.tvdp);
     }
   }
   size_t total = 0;

@@ -61,9 +61,10 @@ struct ShardManagerOptions {
   /// kInvalidArgument.
   std::vector<std::pair<int, int>> cell_assignments;
 
-  /// When non-empty, each shard persists through its own DurableCatalog
-  /// (WAL + snapshot) rooted at `<base_path>/shard_<i>`; a killed shard
-  /// can then be recovered by replaying its WAL. Empty = in-memory shards.
+  /// Each shard persists through its own DurableCatalog (WAL + snapshot)
+  /// rooted at `<base_path>/shard_<i>`, and a killed shard recovers by
+  /// replaying its WAL. Empty with no `durable.fs`: the fleet keeps every
+  /// file in a `MemFs` of its own.
   std::string base_path;
 
   /// Durable-store knobs shared by every shard (tests hook a
@@ -215,28 +216,27 @@ class ShardManager {
   /// Installs a fault profile on one shard (probabilities in [0, 1]).
   Status SetShardFaults(int shard, const ShardFaultProfile& faults);
 
-  /// Simulates a crash: a durable shard's engine is dropped without a
-  /// checkpoint (recovery must replay its WAL); an in-memory shard is
-  /// marked down. In-flight probes finish against the old instance;
-  /// subsequent probes fail with kUnavailable until recovery.
-  /// `drop_state` additionally discards an in-memory shard's engine — the
-  /// total-loss model (no WAL, nothing to replay), after which RecoverShard
-  /// reports kFailedPrecondition instead of reviving an empty zombie.
-  /// kFailedPrecondition while the shard is an endpoint of an in-flight
-  /// cell migration, unless `drop_state` forces the kill (the migration
-  /// then abandons and reconciliation resolves its durable intents).
-  Status KillShard(int shard, bool drop_state = false);
+  /// Simulates a process crash: the shard's engine is dropped without a
+  /// checkpoint and its files stay, so recovery must replay its WAL. The
+  /// dropped engine is fenced: a commit in flight finishes first, and a
+  /// later write through a handle taken before the kill fails with
+  /// kUnavailable. In-flight probes finish against the old instance;
+  /// subsequent probes fail with kUnavailable until recovery. A replicated
+  /// shard with a live replica promotes it at once. kFailedPrecondition
+  /// while the shard is an endpoint of an in-flight cell migration, unless
+  /// `force` (the migration then abandons and reconciliation resolves its
+  /// durable intents).
+  Status KillShard(int shard, bool force = false);
 
-  /// Online recovery: reopens a durable shard from its snapshot + WAL
-  /// (counting replayed records, recomputing the FOV spillover margin, and
-  /// reloading pending broadcast intents) or revives an in-memory shard,
-  /// without restarting the platform. A reconciliation pass then resolves
-  /// any broadcasts the crash left pending; the recovered shard stays up
-  /// even when that pass reports divergence (kDataLoss). The shard's
-  /// circuit breaker is left to re-admit it through its half-open probe.
-  /// kFailedPrecondition for an in-memory shard with nothing to revive
-  /// (no WAL to replay). A replicated shard's replicas are re-attached
-  /// (wiped and re-bootstrapped) from the recovered primary.
+  /// Online recovery: reopens the shard from its snapshot + WAL (counting
+  /// replayed records, recomputing the FOV spillover margin, and reloading
+  /// pending broadcast intents) without restarting the platform. A
+  /// reconciliation pass then resolves any broadcasts the crash left
+  /// pending; the recovered shard stays up even when that pass reports
+  /// divergence (kDataLoss). The shard's circuit breaker is left to
+  /// re-admit it through its half-open probe. A replicated shard's
+  /// replicas are re-attached (wiped and re-bootstrapped) from the
+  /// recovered primary.
   Status RecoverShard(int shard);
 
   // --- Replication & failover (DESIGN.md "Replication, failover, and
@@ -246,11 +246,11 @@ class ShardManager {
   /// durable multi-phase state machine:
   ///
   ///   1. ship  — the capture channel is drained into the replicas;
-  ///   2. apply — for a durable shard whose primary died with unshipped
-  ///              records, the primary's on-disk WAL tail (past the shipped
-  ///              offset) is read back and applied, so every *acknowledged*
-  ///              write reaches the replicas even under kAsync lag;
-  ///   3. ack   — every live durable replica fsyncs its own WAL;
+  ///   2. apply — when the primary died with unshipped records, its WAL
+  ///              tail (past the shipped offset) is read back and applied,
+  ///              so every *acknowledged* write reaches the replicas even
+  ///              under kAsync lag;
+  ///   3. ack   — every live replica fsyncs its own WAL;
   ///   4. promote — the shard map is atomically rewritten with a bumped
   ///              fencing epoch and the new primary path: THE cross-restart
   ///              commit point (a crash before it resolves to the old
@@ -258,7 +258,8 @@ class ShardManager {
   ///   5. fence — the old primary engine (if still held anywhere) starts
   ///              rejecting writes with kFailedPrecondition, and the
   ///              replica channel rejects its stale-epoch captures;
-  ///   6. flip  — routing atomically swaps to the promoted engine, the
+  ///   6. flip  — routing atomically swaps to the promoted engine, which
+  ///              from now on commits with the fleet's `sync_on_commit`; the
   ///              shard's circuit breaker resets, and the capture observer
   ///              rebinds to the new primary.
   ///
@@ -363,22 +364,20 @@ class ShardManager {
   friend class ShardProbeTarget;
 
   struct Slot {
+    /// The primary engine; null while the shard is down.
     std::shared_ptr<Tvdp> tvdp;
-    bool killed = false;
     ShardFaultProfile faults;
     Rng rng{0};
     double max_fov_radius_m = 0;
     geo::BoundingBox cells = geo::BoundingBox::Empty();
-    std::string base_path;  ///< "" for in-memory shards
     size_t probes = 0;
     size_t failures = 0;
     size_t replayed = 0;
     std::vector<double> latencies;  ///< ring buffer of probe latencies
     size_t latency_next = 0;
-    /// Mirror of the shard's unresolved broadcast intents (the durable
-    /// source of truth is the shard's broadcast log; in-memory shards only
-    /// have this mirror). Guarded by slots_mutex_; refreshed from the
-    /// durable log on Create/RecoverShard.
+    /// Mirror of the shard's unresolved broadcast intents (the source of
+    /// truth is the shard's broadcast log). Guarded by slots_mutex_;
+    /// refreshed from the log on Create/RecoverShard.
     std::map<int64_t, storage::PendingBroadcast> pending_broadcasts;
     /// True while this shard is an endpoint of an unresolved cell
     /// migration; successful probes then report kMigrating and the merge
@@ -455,9 +454,9 @@ class ShardManager {
 
   // --- Replication internals ---
 
-  /// On-disk root of copy `copy` of shard `shard`: copy 0 is
+  /// Store root of copy `copy` of shard `shard`: copy 0 is
   /// `<base>/shard_<i>` (the pre-replication layout, unchanged), copy
-  /// r >= 1 is `<base>/shard_<i>_replica_<r-1>`. "" for in-memory fleets.
+  /// r >= 1 is `<base>/shard_<i>_replica_<r-1>`.
   std::string CopyPath(int shard, int copy) const;
 
   /// Replica copy slot r's path index given the current primary: the
@@ -465,7 +464,7 @@ class ShardManager {
   int ReplicaCopyIndex(int primary_index, int r) const;
 
   /// Opens + attaches `shard`'s replicas around `primary` (wiping any
-  /// stale on-disk state at the replica paths and bootstrapping from the
+  /// stale state at the replica paths and bootstrapping from the
   /// primary). `primary_index` names the copy path the primary serves
   /// from. Caller must not hold slots_mutex_.
   Status AttachReplicas(int shard, const std::shared_ptr<Tvdp>& primary,
@@ -487,9 +486,9 @@ class ShardManager {
   /// neither promotion_mutex_ nor slots_mutex_.
   void DrainDeferredPromotions();
 
-  /// Appends one broadcast or migration record to `shard`'s log (durable
-  /// shards fsync it through the DurableCatalog; in-memory shards only
-  /// update the mirror). Unavailable when the shard is down. Caller holds
+  /// Appends one broadcast or migration record to `shard`'s log (fsynced
+  /// through the DurableCatalog) and updates the slot's mirror.
+  /// Unavailable when the shard is down. Caller holds
   /// broadcast_mutex_ or migration_mutex_ (the mirror itself is guarded by
   /// slots_mutex_ inside).
   Status AppendBroadcastTo(int shard, const storage::WalRecord& record);
@@ -602,6 +601,10 @@ class ShardManager {
   /// crash may have skipped).
   Result<bool> LoadShardMap();
 
+  /// Files of a fleet without a base path; declared first so it outlives
+  /// every engine and replica whose files it holds.
+  std::unique_ptr<MemFs> mem_fs_;
+  /// `durable.fs` is never null after Create.
   ShardManagerOptions options_;
   /// Mutable under slots_mutex_ since cutovers rewrite cell ownership.
   std::vector<int> cell_to_shard_;

@@ -15,34 +15,39 @@ using storage::Value;
 namespace tables = storage::tables;
 
 Tvdp::Tvdp(Tvdp&& other) noexcept
-    : catalog_(std::move(other.catalog_)),
+    : mem_fs_(std::move(other.mem_fs_)),
       durable_(std::move(other.durable_)),
       engine_(std::move(other.engine_)),
       classifications_(std::move(other.classifications_)),
       mutation_observer_(std::move(other.mutation_observer_)),
       epoch_(other.epoch_.load(std::memory_order_relaxed)),
-      fenced_(other.fenced_.load(std::memory_order_relaxed)) {}
+      fenced_(other.fenced_.load(std::memory_order_relaxed)),
+      fence_refusal_(std::move(other.fence_refusal_)) {}
 
 Tvdp& Tvdp::operator=(Tvdp&& other) noexcept {
   if (this != &other) {
-    catalog_ = std::move(other.catalog_);
-    durable_ = std::move(other.durable_);
+    // Dependents first: the old engine reads the old store, whose WAL
+    // handles point into the old MemFs.
     engine_ = std::move(other.engine_);
+    durable_ = std::move(other.durable_);
+    mem_fs_ = std::move(other.mem_fs_);
     classifications_ = std::move(other.classifications_);
     mutation_observer_ = std::move(other.mutation_observer_);
     epoch_.store(other.epoch_.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);
     fenced_.store(other.fenced_.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
+    fence_refusal_ = std::move(other.fence_refusal_);
   }
   return *this;
 }
 
 Result<Tvdp> Tvdp::Create() {
-  Tvdp t;
-  TVDP_ASSIGN_OR_RETURN(storage::Catalog catalog, storage::MakeTvdpCatalog());
-  t.catalog_ = std::make_unique<storage::Catalog>(std::move(catalog));
-  t.engine_.reset(new query::QueryEngine(t.catalog_.get()));
+  auto fs = std::make_unique<MemFs>();
+  storage::DurableCatalogOptions options;
+  options.fs = fs.get();
+  TVDP_ASSIGN_OR_RETURN(Tvdp t, Open("tvdp", options));
+  t.mem_fs_ = std::move(fs);
   return t;
 }
 
@@ -57,18 +62,14 @@ Result<Tvdp> Tvdp::Open(const std::string& base_path,
     TVDP_RETURN_IF_ERROR(t.durable_->Bootstrap(std::move(fresh)));
   }
   t.engine_.reset(new query::QueryEngine(&t.durable_->catalog()));
-  TVDP_RETURN_IF_ERROR(t.RebuildFromCatalog());
+  TVDP_RETURN_IF_ERROR(t.RebuildClassificationsUnlocked());
+  {
+    // The engine has published nothing yet: the registry and the indexes
+    // (one pass over each table) publish together as version 1.
+    CommitScope commit(t.engine_.get(), &t.classifications_);
+    TVDP_RETURN_IF_ERROR(t.engine_->ReindexAllLocked());
+  }
   return t;
-}
-
-Status Tvdp::RebuildFromCatalog() {
-  // Classification registry: name -> (id, label -> type id).
-  TVDP_RETURN_IF_ERROR(RebuildClassificationsUnlocked());
-
-  // Query indexes: one pass over each table. The rebuilt indexes and
-  // registry publish as one version.
-  CommitScope commit(engine_.get(), &classifications_);
-  return engine_->ReindexAllLocked();
 }
 
 Status Tvdp::RebuildClassificationsUnlocked() {
@@ -98,15 +99,8 @@ Status Tvdp::RebuildClassificationsUnlocked() {
 }
 
 Result<int64_t> Tvdp::InsertRow(const std::string& table, storage::Row row) {
-  if (fenced_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition(
-        "engine is fenced (stale primary, epoch " +
-        std::to_string(epoch_.load(std::memory_order_relaxed)) +
-        "): write rejected");
-  }
-  TVDP_ASSIGN_OR_RETURN(int64_t id,
-                        durable_ ? durable_->Insert(table, std::move(row))
-                                 : catalog_->Insert(table, std::move(row)));
+  if (fenced_.load(std::memory_order_acquire)) return fence_refusal_;
+  TVDP_ASSIGN_OR_RETURN(int64_t id, durable_->Insert(table, std::move(row)));
   engine_->MarkTableDirtyLocked(table);
   TVDP_ASSIGN_OR_RETURN(const Row* stored, catalog().GetTable(table)->Get(id));
   if (mutation_observer_) {
@@ -120,19 +114,8 @@ Result<int64_t> Tvdp::InsertRow(const std::string& table, storage::Row row) {
 }
 
 Status Tvdp::DeleteRow(const std::string& table, storage::RowId id) {
-  if (fenced_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition(
-        "engine is fenced (stale primary, epoch " +
-        std::to_string(epoch_.load(std::memory_order_relaxed)) +
-        "): write rejected");
-  }
-  if (durable_) {
-    TVDP_RETURN_IF_ERROR(durable_->Delete(table, id));
-  } else {
-    storage::Table* t = catalog_->GetTable(table);
-    if (!t) return Status::NotFound("no such table: " + table);
-    TVDP_RETURN_IF_ERROR(t->Delete(id));
-  }
+  if (fenced_.load(std::memory_order_acquire)) return fence_refusal_;
+  TVDP_RETURN_IF_ERROR(durable_->Delete(table, id));
   engine_->MarkTableDirtyLocked(table);
   if (mutation_observer_) {
     storage::WalRecord record = storage::WalRecord::Delete(table, id);
@@ -639,21 +622,16 @@ Result<size_t> Tvdp::ApplyReplicated(
     }
     if (rec.type == storage::WalRecordType::kDelete) {
       if (!t->Exists(rec.row_id)) continue;  // already applied
-      TVDP_RETURN_IF_ERROR(durable_ ? durable_->Delete(rec.table, rec.row_id)
-                                    : t->Delete(rec.row_id));
+      TVDP_RETURN_IF_ERROR(durable_->Delete(rec.table, rec.row_id));
       saw_delete = true;
     } else {
       if (t->Exists(rec.row_id)) continue;  // already applied
-      Row full;
-      full.reserve(rec.values.size() + 1);
-      full.push_back(Value(rec.row_id));
-      full.insert(full.end(), rec.values.begin(), rec.values.end());
       TVDP_RETURN_IF_ERROR(
-          durable_ ? durable_->RestoreInsert(rec.table, rec.row_id, rec.values)
-                   : t->RestoreRow(full));
+          durable_->RestoreInsert(rec.table, rec.row_id, rec.values));
       // Indexed as it lands, so where the shipper cut the batches (an
       // image row alone, its FOV and keywords in the next) cannot matter.
-      TVDP_RETURN_IF_ERROR(engine_->IndexRowLocked(rec.table, full));
+      TVDP_ASSIGN_OR_RETURN(const Row* stored, t->Get(rec.row_id));
+      TVDP_RETURN_IF_ERROR(engine_->IndexRowLocked(rec.table, *stored));
     }
     engine_->MarkTableDirtyLocked(rec.table);
     ++applied;
@@ -705,9 +683,18 @@ void Tvdp::Fence(int64_t fenced_at_epoch) {
   // Writer lock: in-flight writers drain before the fence lands, so a
   // stale primary cannot ack a mutation sequenced after its demotion.
   std::unique_lock lock(engine_->mutex());
-  epoch_.store(
-      std::max(epoch_.load(std::memory_order_relaxed), fenced_at_epoch),
-      std::memory_order_relaxed);
+  const int64_t epoch =
+      std::max(epoch_.load(std::memory_order_relaxed), fenced_at_epoch);
+  epoch_.store(epoch, std::memory_order_relaxed);
+  fence_refusal_ = Status::FailedPrecondition(
+      "engine is fenced (stale primary, epoch " + std::to_string(epoch) +
+      "): write rejected");
+  fenced_.store(true, std::memory_order_release);
+}
+
+void Tvdp::Fence(Status refusal) {
+  std::unique_lock lock(engine_->mutex());
+  fence_refusal_ = std::move(refusal);
   fenced_.store(true, std::memory_order_release);
 }
 
@@ -716,7 +703,7 @@ bool Tvdp::fenced() const { return fenced_.load(std::memory_order_acquire); }
 void Tvdp::set_epoch(int64_t epoch) {
   std::unique_lock lock(engine_->mutex());
   epoch_.store(epoch, std::memory_order_release);
-  if (durable_) durable_->set_epoch(epoch);
+  durable_->set_epoch(epoch);
 }
 
 int64_t Tvdp::epoch() const {
@@ -734,8 +721,6 @@ Status Tvdp::SaveToFile(const std::string& path) const {
       path, storage::Catalog::SerializeTables(snapshot_tables));
 }
 
-Status Tvdp::Checkpoint() {
-  return durable_ ? durable_->Checkpoint() : Status::OK();
-}
+Status Tvdp::Checkpoint() { return durable_->Checkpoint(); }
 
 }  // namespace tvdp::platform

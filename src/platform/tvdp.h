@@ -71,14 +71,16 @@ struct AnnotationRecord {
 /// serialized). See DESIGN.md "Concurrency model".
 class Tvdp {
  public:
-  /// Creates a platform with a fresh in-memory TVDP-schema catalog.
+  /// Creates a fresh platform whose store lives in memory: `Open` over a
+  /// private `MemFs`, so every write commits through the same WAL.
   static Result<Tvdp> Create();
 
   /// Opens (or creates) a crash-safe platform rooted at `base_path`
   /// (`<base_path>.snapshot` + `<base_path>.wal`). Every ingest, annotation
   /// and feature write is committed through the write-ahead log; reopening
   /// after a crash recovers all committed records, rebuilds the query
-  /// indexes and the classification registry.
+  /// indexes and the classification registry, and publishes them as the
+  /// first snapshot version.
   static Result<Tvdp> Open(const std::string& base_path,
                            storage::DurableCatalogOptions options = {});
 
@@ -167,17 +169,10 @@ class Tvdp {
   /// it.
   std::mutex& mutex() const { return engine_->mutex(); }
 
-  storage::Catalog& catalog() {
-    return durable_ ? durable_->catalog() : *catalog_;
-  }
-  const storage::Catalog& catalog() const {
-    return durable_ ? durable_->catalog() : *catalog_;
-  }
+  storage::Catalog& catalog() { return durable_->catalog(); }
+  const storage::Catalog& catalog() const { return durable_->catalog(); }
 
-  /// True when this platform persists through a durable catalog.
-  bool durable() const { return durable_ != nullptr; }
-
-  /// The durable store (nullptr for in-memory platforms).
+  /// The durable store; never null.
   storage::DurableCatalog* durable_catalog() { return durable_.get(); }
 
   /// Number of live images.
@@ -232,8 +227,8 @@ class Tvdp {
       int64_t image_id) const;
 
   /// Removes the given images and every dependent row (FOV, scene
-  /// location, keywords, features, annotations) — through the WAL when
-  /// durable — then rebuilds the query indexes from the surviving rows.
+  /// location, keywords, features, annotations) through the WAL, then
+  /// rebuilds the query indexes from the surviving rows.
   /// The GC half of a cell migration. Unknown ids are skipped.
   Status RemoveImages(const std::vector<int64_t>& ids);
 
@@ -250,8 +245,8 @@ class Tvdp {
       std::function<void(const storage::WalRecord&)> observer);
 
   /// Applies a batch of shipped primary records to this (replica) engine:
-  /// forced-id inserts and deletes, committed through the replica's own WAL
-  /// when durable, with query indexes and the classification registry kept
+  /// forced-id inserts and deletes, committed through the replica's own
+  /// WAL, with query indexes and the classification registry kept
   /// in sync. Already-applied records (id present) are skipped, so
   /// re-shipping after a retry or a WAL tail replay is safe. Returns the
   /// number of records newly applied.
@@ -263,14 +258,18 @@ class Tvdp {
   /// replication being enabled.
   std::vector<storage::WalRecord> SnapshotRecords() const;
 
-  /// Fencing: a fenced engine rejects every mutation with
-  /// kFailedPrecondition. A stale primary is fenced at promotion so its
-  /// in-flight writers cannot ack anything the new primary will not have.
+  /// Fencing: a fenced engine rejects every later mutation, and a commit in
+  /// flight finishes before the fence returns. A stale primary is fenced
+  /// at promotion (kFailedPrecondition) so its in-flight writers cannot ack
+  /// anything the new primary will not have; a killed shard's engine is
+  /// fenced with `refusal` so a writer still holding its handle cannot
+  /// append to the WAL that recovery reopens.
   void Fence(int64_t fenced_at_epoch);
+  void Fence(Status refusal);
   bool fenced() const;
 
   /// The engine's replication epoch, stamped onto every mutation record it
-  /// produces (and persisted via the durable catalog when one is attached).
+  /// produces and persisted via the durable catalog.
   void set_epoch(int64_t epoch);
   int64_t epoch() const;
 
@@ -278,7 +277,7 @@ class Tvdp {
 
   Status SaveToFile(const std::string& path) const;
 
-  /// Durable mode: forces a snapshot + WAL reset now. No-op in-memory.
+  /// Forces a snapshot + WAL reset now.
   Status Checkpoint();
 
  private:
@@ -286,24 +285,19 @@ class Tvdp {
 
   Tvdp() = default;
 
-  /// Routes a row insert through the WAL when durable, else straight to the
-  /// in-memory catalog.
+  /// Commits a row insert through the WAL and indexes it.
   Result<int64_t> InsertRow(const std::string& table, storage::Row row);
 
-  /// Routes a row delete through the WAL when durable, else straight to the
-  /// in-memory catalog.
+  /// Commits a row delete through the WAL.
   Status DeleteRow(const std::string& table, storage::RowId id);
-
-  /// Rebuilds query indexes and the classification registry from the
-  /// recovered catalog after a durable Open.
-  Status RebuildFromCatalog();
 
   /// Rebuilds only the classification registry from the catalog rows
   /// (classifications_ is guarded by the writer path's exclusive lock; the
   /// caller must not be racing mutations).
   Status RebuildClassificationsUnlocked();
 
-  std::unique_ptr<storage::Catalog> catalog_;
+  /// A `Create`d platform's files; declared first so it outlives `durable_`.
+  std::unique_ptr<MemFs> mem_fs_;
   std::unique_ptr<storage::DurableCatalog> durable_;
   std::unique_ptr<query::QueryEngine> engine_;
   // classification name -> (classification id, label -> type id)
@@ -312,10 +306,12 @@ class Tvdp {
   // Replication state. The observer is guarded by the engine writer lock
   // (mutations already hold it exclusively when it is consulted); the
   // fencing state is atomic so lock-free readers (fenced()/epoch(),
-  // SnapshotRecords) observe it without the lock.
+  // SnapshotRecords) observe it without the lock; the refusal a fenced
+  // engine returns is written and read under the writer lock.
   std::function<void(const storage::WalRecord&)> mutation_observer_;
   std::atomic<int64_t> epoch_{0};
   std::atomic<bool> fenced_{false};
+  Status fence_refusal_;
 };
 
 }  // namespace tvdp::platform

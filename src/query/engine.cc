@@ -31,10 +31,7 @@ size_t EstimateIndexBytes(size_t entries) { return entries * 64 + 64; }
 QueryEngine::QueryEngine(storage::Catalog* catalog, ThreadPool* pool)
     : catalog_(catalog),
       pool_(pool ? pool : &ThreadPool::Shared()),
-      fovs_(index::OrientedRTree::Options{16, pool_}) {
-  // Version 1: every read pins a snapshot, so one exists from the start.
-  PublishLocked();
-}
+      fovs_(index::OrientedRTree::Options{16, pool_}) {}
 
 AccessPaths QueryEngine::SnapshotPaths(const EngineSnapshot& snap) const {
   AccessPaths paths;

@@ -41,7 +41,8 @@ namespace tvdp::query {
 /// AccessPaths (see DESIGN.md "Query planning and EXPLAIN").
 ///
 /// Only the platform facade (platform::Tvdp) constructs an engine and
-/// mutates it. Construction publishes version 1, and every facade write
+/// mutates it. `Tvdp::Open` builds the indexes and publishes version 1
+/// before anything can read the engine, and every facade write
 /// section (catalog mutation, index update, publish) runs under `mutex_`
 /// and ends by publishing the next version (DESIGN.md "MVCC snapshots and
 /// copy-on-write storage").
@@ -158,7 +159,7 @@ class QueryEngine {
 
   // --- MVCC snapshots ---
 
-  /// Pins the latest published snapshot (never null: construction
+  /// Pins the latest published snapshot (never null: `Tvdp::Open`
   /// publishes version 1). The pin is two atomic ops; the returned ref
   /// keeps every component of that version alive until released.
   SnapshotRef PinSnapshot() const {
@@ -180,7 +181,7 @@ class QueryEngine {
   /// `catalog` must outlive the engine and contain the TVDP schema.
   /// `pool` (default: the process-shared pool) runs intra-query fan-out;
   /// pass a zero-worker pool to force sequential execution. Publishes
-  /// version 1 from the catalog's current state.
+  /// nothing: the first CommitScope publishes version 1.
   explicit QueryEngine(storage::Catalog* catalog, ThreadPool* pool = nullptr);
 
   /// The writer mutex: held by the platform facade around every

@@ -263,6 +263,11 @@ Status DurableCatalog::Flush() {
   return wal_->Sync();
 }
 
+void DurableCatalog::set_sync_on_commit(bool sync) {
+  std::unique_lock<std::shared_mutex> lock(*mutex_);
+  options_.sync_on_commit = sync;
+}
+
 Status DurableCatalog::AppendBroadcast(const WalRecord& record) {
   if (record.type == WalRecordType::kInsert ||
       record.type == WalRecordType::kDelete) {

@@ -143,6 +143,10 @@ class DurableCatalog {
   /// fsyncs outstanding WAL appends (useful with sync_on_commit=false).
   Status Flush();
 
+  /// Switches `sync_on_commit` for every later commit — a promoted replica
+  /// takes on its fleet's setting without a reopen.
+  void set_sync_on_commit(bool sync);
+
   // --- Broadcast log (fleet-wide two-phase operations) ---
 
   /// Appends one broadcast record (intent/commit/abort) to the broadcast
@@ -164,12 +168,13 @@ class DurableCatalog {
   Catalog& catalog() { return *catalog_; }
   const Catalog& catalog() const { return *catalog_; }
 
-  uint64_t wal_size_bytes() const { return wal_->size_bytes(); }
+  /// The WAL's length, read under the shared lock: safe while writers
+  /// commit.
+  uint64_t wal_size_bytes() const {
+    std::shared_lock<std::shared_mutex> lock(*mutex_);
+    return wal_->size_bytes();
+  }
   size_t checkpoints_taken() const { return checkpoints_taken_; }
-
-  const std::string& snapshot_path() const { return snapshot_path_; }
-  const std::string& wal_path() const { return wal_path_; }
-  const std::string& broadcast_path() const { return broadcast_path_; }
 
  private:
   DurableCatalog() = default;

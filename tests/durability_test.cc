@@ -1,6 +1,7 @@
 // Crash-safety tests for the durable-storage subsystem: CRC32C, the
 // fault-injecting filesystem, WAL append/recovery, power-cut sweeps over the
-// log tail, snapshot compaction, and the platform facade's durable mode.
+// log tail (on disk and on a MemFs), snapshot compaction, and the platform
+// facade's store.
 
 #include <gtest/gtest.h>
 
@@ -110,7 +111,15 @@ class DurabilityTest : public ::testing::Test {
     ASSERT_TRUE((*out)->Close().ok());
   }
 
+  /// The WAL crash tests run over each `Fs` a store lives on: the disk
+  /// (`Tvdp::Open`) and a MemFs (`Tvdp::Create`, fleets without a base
+  /// path). Each test wraps it in a FaultInjectingFs.
+  std::vector<std::pair<std::string, Fs*>> BaseFileSystems() {
+    return {{"disk", Fs::Default()}, {"memfs", &mem_fs_}};
+  }
+
   std::string dir_;
+  MemFs mem_fs_;
 };
 
 // ---------- FaultInjectingFs ----------
@@ -149,19 +158,22 @@ TEST_F(DurabilityTest, FaultFsShortWritePersistsOnlyPrefix) {
 }
 
 TEST_F(DurabilityTest, FaultFsPowerCutSilentlyDropsTail) {
-  FaultInjectingFs fs(Fs::Default());
-  fs.SetPowerCutAfter(4);
-  auto file = fs.OpenWritable(Path("f"), true);
-  ASSERT_TRUE(file.ok());
-  std::vector<uint8_t> payload{1, 2, 3, 4, 5, 6};
-  // The writer sees success — the bytes past the cut just never land.
-  EXPECT_TRUE((*file)->Append(payload).ok());
-  EXPECT_TRUE((*file)->Sync().ok());
-  EXPECT_TRUE((*file)->Close().ok());
-  EXPECT_TRUE(fs.power_cut_hit());
-  auto bytes = fs.ReadAll(Path("f"));
-  ASSERT_TRUE(bytes.ok());
-  EXPECT_EQ(*bytes, (std::vector<uint8_t>{1, 2, 3, 4}));
+  for (const auto& [name, base_fs] : BaseFileSystems()) {
+    SCOPED_TRACE(name);
+    FaultInjectingFs fs(base_fs);
+    fs.SetPowerCutAfter(4);
+    auto file = fs.OpenWritable(Path("f"), true);
+    ASSERT_TRUE(file.ok());
+    std::vector<uint8_t> payload{1, 2, 3, 4, 5, 6};
+    // The writer sees success — the bytes past the cut just never land.
+    EXPECT_TRUE((*file)->Append(payload).ok());
+    EXPECT_TRUE((*file)->Sync().ok());
+    EXPECT_TRUE((*file)->Close().ok());
+    EXPECT_TRUE(fs.power_cut_hit());
+    auto bytes = fs.ReadAll(Path("f"));
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_EQ(*bytes, (std::vector<uint8_t>{1, 2, 3, 4}));
+  }
 }
 
 // ---------- WAL ----------
@@ -436,49 +448,55 @@ TEST_F(DurabilityTest, DurableCatalogPersistsAcrossReopen) {
 }
 
 TEST_F(DurabilityTest, PowerCutSweepRecoversExactlyTheCommittedPrefix) {
-  const std::string base = Path("db");
-  const int kRecords = 8;
-  // Build a store with kRecords committed inserts and remember the WAL
-  // frame boundaries (= number of records durable at each prefix length).
-  std::vector<uint64_t> frame_end;  // frame_end[i] = bytes after record i+1
-  {
-    auto dc = storage::DurableCatalog::Open(base);
-    ASSERT_TRUE(dc.ok());
-    ASSERT_TRUE(dc->Bootstrap(MakeItemsCatalog()).ok());
-    for (int i = 1; i <= kRecords; ++i) {
-      ASSERT_TRUE(dc->Insert("items", ItemRow("r" + std::to_string(i), i)).ok());
-      frame_end.push_back(dc->wal_size_bytes());
+  for (const auto& [name, base_fs] : BaseFileSystems()) {
+    SCOPED_TRACE(name);
+    const std::string base = Path("db");
+    const int kRecords = 8;
+    FaultInjectingFs fs(base_fs);
+    storage::DurableCatalogOptions options;
+    options.fs = &fs;
+    // Build a store with kRecords committed inserts and remember the WAL
+    // frame boundaries (= number of records durable at each prefix length).
+    std::vector<uint64_t> frame_end;  // frame_end[i] = bytes after record i+1
+    {
+      auto dc = storage::DurableCatalog::Open(base, options);
+      ASSERT_TRUE(dc.ok());
+      ASSERT_TRUE(dc->Bootstrap(MakeItemsCatalog()).ok());
+      for (int i = 1; i <= kRecords; ++i) {
+        ASSERT_TRUE(
+            dc->Insert("items", ItemRow("r" + std::to_string(i), i)).ok());
+        frame_end.push_back(dc->wal_size_bytes());
+      }
     }
-  }
-  Fs& fs = *Fs::Default();
-  const std::string wal = base + ".wal";
-  const std::string wal_copy = Path("wal.pristine");
-  CopyFile(fs, wal, wal_copy);
-  auto full_size = fs.FileSize(wal);
-  ASSERT_TRUE(full_size.ok());
+    const std::string wal = base + ".wal";
+    const std::string wal_copy = Path("wal.pristine");
+    CopyFile(fs, wal, wal_copy);
+    auto full_size = fs.FileSize(wal);
+    ASSERT_TRUE(full_size.ok());
 
-  // Cut the log at EVERY byte offset: recovery must yield exactly the
-  // records whose frames are fully inside the kept prefix — never fewer,
-  // never a torn record, never a crash.
-  for (uint64_t cut = 0; cut <= *full_size; ++cut) {
-    CopyFile(fs, wal_copy, wal);
-    ASSERT_TRUE(fs.Truncate(wal, cut).ok());
-    size_t expected = 0;
-    while (expected < frame_end.size() && frame_end[expected] <= cut) {
-      ++expected;
+    // Cut the log at EVERY byte offset: recovery must yield exactly the
+    // records whose frames are fully inside the kept prefix — never fewer,
+    // never a torn record, never a crash.
+    for (uint64_t cut = 0; cut <= *full_size; ++cut) {
+      CopyFile(fs, wal_copy, wal);
+      ASSERT_TRUE(fs.Truncate(wal, cut).ok());
+      size_t expected = 0;
+      while (expected < frame_end.size() && frame_end[expected] <= cut) {
+        ++expected;
+      }
+      auto dc = storage::DurableCatalog::Open(base, options);
+      ASSERT_TRUE(dc.ok()) << "cut at " << cut << ": " << dc.status();
+      storage::Table* items = dc->catalog().GetTable("items");
+      ASSERT_NE(items, nullptr);
+      ASSERT_EQ(items->size(), expected) << "cut at " << cut;
+      for (size_t i = 1; i <= expected; ++i) {
+        auto row = items->Get(static_cast<int64_t>(i));
+        ASSERT_TRUE(row.ok()) << "cut at " << cut << " row " << i;
+        ASSERT_EQ((**row)[1].AsString(), "r" + std::to_string(i));
+      }
+      ASSERT_FALSE(items->Exists(static_cast<int64_t>(expected) + 1))
+          << "cut at " << cut;
     }
-    auto dc = storage::DurableCatalog::Open(base);
-    ASSERT_TRUE(dc.ok()) << "cut at " << cut << ": " << dc.status();
-    storage::Table* items = dc->catalog().GetTable("items");
-    ASSERT_NE(items, nullptr);
-    ASSERT_EQ(items->size(), expected) << "cut at " << cut;
-    for (size_t i = 1; i <= expected; ++i) {
-      auto row = items->Get(static_cast<int64_t>(i));
-      ASSERT_TRUE(row.ok()) << "cut at " << cut << " row " << i;
-      ASSERT_EQ((**row)[1].AsString(), "r" + std::to_string(i));
-    }
-    ASSERT_FALSE(items->Exists(static_cast<int64_t>(expected) + 1))
-        << "cut at " << cut;
   }
 }
 
@@ -638,7 +656,6 @@ TEST_F(DurabilityTest, TvdpReopenRecoversImagesAnnotationsAndIndexes) {
   auto reopened = platform::Tvdp::Open(base);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   platform::Tvdp tvdp = std::move(reopened).value();
-  EXPECT_TRUE(tvdp.durable());
   EXPECT_EQ(tvdp.image_count(), 1u);
 
   // Annotation registry survived.

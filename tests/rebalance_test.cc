@@ -590,11 +590,11 @@ TEST(RebalanceRecoverySuiteTest, EndpointDeathMidCopyAbandonsThenRollsBack) {
   ShardManager& mgr = **m;
   BuildSmallCorpus(mgr);
 
-  // The source shard dies mid-migration (drop_state bypasses the guard;
-  // the WAL survives). The migration must abandon, not write to a corpse.
+  // The source shard dies mid-migration (force bypasses the guard; the
+  // WAL survives). The migration must abandon, not write to a corpse.
   mgr.SetMigrationHook([&mgr](const std::string& ph, int) {
     if (ph == "catchup") {
-      EXPECT_TRUE(mgr.KillShard(0, /*drop_state=*/true).ok());
+      EXPECT_TRUE(mgr.KillShard(0, /*force=*/true).ok());
     }
     return true;
   });

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/file.h"
 #include "common/json.h"
 #include "common/retry.h"
 #include "platform/api.h"
@@ -189,10 +190,11 @@ TEST(ReplicationUnitTest, StaleEpochCapturesAreRejected) {
 
   // The set believes epoch 5; the primary still stamps epoch 0 — the
   // fenced-out-but-still-writing stale primary model.
+  MemFs fs;
+  storage::DurableCatalogOptions store;
+  store.fs = &fs;
   ReplicaSet set(/*shard=*/0, /*epoch=*/5);
-  ASSERT_TRUE(set.Attach(primary, {""}, storage::DurableCatalogOptions{},
-                         SyncLevel::kSync)
-                  .ok());
+  ASSERT_TRUE(set.Attach(primary, {"replica"}, store, SyncLevel::kSync).ok());
   ImageRecord rec;
   rec.uri = "stale";
   rec.location = CellZeroPoint();
@@ -213,10 +215,11 @@ TEST(ReplicationUnitTest, AppliedCountersSkipAlreadyAppliedRecords) {
   rec.location = CellZeroPoint();
   ASSERT_TRUE(primary->IngestImage(rec).ok());
 
+  MemFs fs;
+  storage::DurableCatalogOptions store;
+  store.fs = &fs;
   ReplicaSet set(/*shard=*/0, /*epoch=*/0);
-  ASSERT_TRUE(set.Attach(primary, {""}, storage::DurableCatalogOptions{},
-                         SyncLevel::kSync)
-                  .ok());
+  ASSERT_TRUE(set.Attach(primary, {"replica"}, store, SyncLevel::kSync).ok());
   const uint64_t bootstrapped = set.applied_records(0);
   EXPECT_GT(bootstrapped, 0u);
 
@@ -431,9 +434,9 @@ TEST(ReplicationFailoverTest, KilledShardAutoPromotesSurvivingReplica) {
   const std::set<std::string> oracle = UrisOf(mgr, baseline->hits);
   ASSERT_EQ(oracle.size(), static_cast<size_t>(kSmall));
 
-  // Total loss of the primary (drop_state: nothing left to replay) — the
-  // replica is the only surviving copy, and the kill promotes it in-line.
-  ASSERT_TRUE(mgr.KillShard(0, /*drop_state=*/true).ok());
+  // The primary crashes; killing a replicated shard with a live replica
+  // promotes that replica in-line.
+  ASSERT_TRUE(mgr.KillShard(0).ok());
   EXPECT_TRUE(mgr.shard_alive(0));
   EXPECT_EQ(mgr.shard_epoch(0), 1);
   EXPECT_EQ(mgr.shard_primary_index(0), 1);
@@ -538,7 +541,7 @@ TEST(ReplicationFailoverTest, EnvelopesByteIdenticalAcrossFailover) {
     }
     return true;
   });
-  ASSERT_TRUE(mgr.KillShard(0, /*drop_state=*/true).ok());
+  ASSERT_TRUE(mgr.KillShard(0).ok());
   mgr.SetPromotionHook({});
   EXPECT_EQ(during_checked.load(), static_cast<int>(requests.size()));
   EXPECT_EQ(mgr.shard_epoch(0), 1);
@@ -580,6 +583,39 @@ TEST(ReplicationFailoverTest, DurableAsyncFailoverAppliesWalTail) {
   ASSERT_TRUE(after.ok()) << after.status();
   EXPECT_TRUE(after->coverage.complete()) << after->coverage.ToJson().Dump();
   EXPECT_EQ(UrisOf(mgr, after->hits), oracle);
+}
+
+TEST(ReplicationFailoverTest, PromotedReplicaFsyncsItsCommits) {
+  // A replica commits without an fsync, because Ship syncs each shipped
+  // batch. Promoted, it acks writes itself and must commit with the
+  // fleet's sync_on_commit: this promotion spends the only replica, so an
+  // unsynced ack would exist nowhere but the page cache.
+  std::string dir = ::testing::TempDir() + "tvdp_repsyncXXXXXX";
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  FaultInjectingFs fs(Fs::Default());
+  ShardManagerOptions opts = ReplicatedOptions(2, 2, 2, 2);
+  opts.base_path = dir;
+  opts.durable.fs = &fs;
+  auto m = ShardManager::Create(opts);
+  ASSERT_TRUE(m.ok()) << m.status();
+  ShardManager& mgr = **m;
+
+  ImageRecord rec;
+  rec.uri = "before";
+  rec.location = CellZeroPoint();
+  int64_t syncs = fs.sync_calls();
+  ASSERT_TRUE(mgr.IngestImage(rec).ok());
+  EXPECT_GE(fs.sync_calls() - syncs, 2);  // the primary's commit + the ship
+
+  auto promoted = mgr.PromoteShard(0);
+  ASSERT_TRUE(promoted.ok()) << promoted.status();
+  ASSERT_EQ(mgr.live_replica_count(0), 0);
+
+  rec.uri = "after";
+  syncs = fs.sync_calls();
+  ASSERT_TRUE(mgr.IngestImage(rec).ok());
+  EXPECT_GE(fs.sync_calls() - syncs, 1)
+      << "the promoted primary acked a write without an fsync";
 }
 
 TEST(ReplicationFailoverTest, BreakerTripRetriesVetoedPromotion) {

@@ -1271,24 +1271,73 @@ TEST(ShardingRecoveryTest, FovSpilloverMarginSurvivesDurableReopen) {
   EXPECT_EQ(r->coverage.reports[0].outcome, ShardOutcome::kProbed);
 }
 
-TEST(ShardingRecoveryTest, InMemoryTotalLossCannotBeRecovered) {
-  auto m = ShardManager::Create(GridOptions(2, 1, 2));
+TEST(ShardingRecoveryTest, KillFencesWritersHoldingTheOldHandle) {
+  // Writers copy a shard's engine handle and commit after releasing the
+  // fleet lock. A kill must stop such a writer before recovery reopens the
+  // WAL, or its frame lands in (or tears) the log the revived engine owns:
+  // acked writes then vanish on recovery or on the next replay.
+  std::string dir = ::testing::TempDir() + "tvdp_stalewXXXXXX";
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  ShardManagerOptions opts = GridOptions(4, 2, 2);
+  opts.base_path = dir;
+  opts.breakers = false;
+  auto m = ShardManager::Create(opts);
   ASSERT_TRUE(m.ok()) << m.status();
   ShardManager& mgr = **m;
 
-  // Plain kill keeps the in-memory engine, so recovery revives it.
-  ASSERT_TRUE(mgr.KillShard(0).ok());
-  ASSERT_TRUE(mgr.RecoverShard(0).ok());
-  EXPECT_TRUE(mgr.shard_alive(0));
+  auto location = [](int i) {
+    return geo::GeoPoint{34.005 + (i % 19) * 0.004,
+                         -118.295 + (i % 23) * 0.004};
+  };
+  constexpr int kSeeded = 40;
+  for (int i = 0; i < kSeeded; ++i) {
+    ImageRecord rec;
+    rec.uri = "seed" + std::to_string(i);
+    rec.location = location(i);
+    ASSERT_TRUE(mgr.IngestImage(rec).ok());
+  }
 
-  // Total loss drops the engine; there is no WAL behind an in-memory
-  // shard, so RecoverShard must refuse instead of reviving a zombie that
-  // silently lost every row.
-  ASSERT_TRUE(mgr.KillShard(0, /*drop_state=*/true).ok());
-  Status s = mgr.RecoverShard(0);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(mgr.shard_alive(0));
+  std::atomic<bool> stop{false};
+  std::atomic<int> acked{0}, refused{0}, wrong_code{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 3; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = w; !stop.load(std::memory_order_relaxed); i += 3) {
+        ImageRecord rec;
+        rec.uri = "w" + std::to_string(i);
+        rec.location = location(i);
+        rec.keywords = {"city"};
+        auto id = mgr.IngestImage(rec);
+        if (id.ok()) {
+          ++acked;
+        } else if (id.status().code() == StatusCode::kUnavailable) {
+          ++refused;
+        } else {
+          ++wrong_code;
+        }
+      }
+    });
+  }
+  for (int cycle = 0; cycle < 40; ++cycle) {
+    const int shard = cycle % 4;
+    EXPECT_TRUE(mgr.KillShard(shard).ok());
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    EXPECT_TRUE(mgr.RecoverShard(shard).ok());
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  stop.store(true);
+  for (auto& t : writers) t.join();
+
+  // One more crash and WAL replay of every shard: what each log holds is
+  // what the fleet serves.
+  for (int shard = 0; shard < 4; ++shard) {
+    ASSERT_TRUE(mgr.KillShard(shard).ok());
+    ASSERT_TRUE(mgr.RecoverShard(shard).ok());
+  }
+  EXPECT_GT(acked.load(), 0);
+  EXPECT_EQ(wrong_code.load(), 0);
+  EXPECT_EQ(mgr.image_count(), static_cast<size_t>(kSeeded + acked.load()))
+      << refused.load() << " writes refused";
 }
 
 // ---------------------------------------------------------------------
