@@ -4,7 +4,10 @@
 # shared_lock acquisitions in the query engine and the read endpoints, and
 # mutable members in the indexes, and fails when a new one appears. It also
 # keeps the platform to one storage mode: every engine commits through the
-# WAL, so nothing in src/platform/ branches on whether it has one.
+# WAL, so nothing in src/platform/ branches on whether it has one. And it
+# keeps one way for a replica to get its state: it starts as a copy of its
+# primary's files and then applies only the shipped tail, so no row-by-row
+# bootstrap comes back.
 #
 # Budgets (comment lines are not counted):
 #   shared_lock in
@@ -18,6 +21,12 @@
 #   storage-mode branches (durable_ ?, if (durable_), durable(), path.empty())
 #     src/platform/         1   the Fs choice in ShardManager::Create: a
 #                               fleet without a base path gets a MemFs
+#   SnapshotRecords
+#     src/                  0   no full-state dump to bootstrap replicas from
+#   ApplyReplicated(
+#     src/                  3   its declaration, its definition, and the one
+#                               caller: ReplicaSet::ApplyBatchLocked (shipped
+#                               batches and a promotion's WAL tail)
 set -u
 cd "$(dirname "$0")/.."
 
@@ -48,6 +57,8 @@ check "src/platform/api.cc" 'shared_lock' 2 src/platform/api.cc
 check "src/index/" '\bmutable\b' 0 src/index/
 check "src/platform/" 'durable_ \?|if \(durable_\)|durable\(\)|path\.empty\(\)' 1 \
   src/platform/
+check "src/" 'SnapshotRecords' 0 src/
+check "src/" 'ApplyReplicated\(' 3 src/
 
 if [ "$fail" -ne 0 ]; then
   echo
@@ -56,6 +67,8 @@ if [ "$fail" -ne 0 ]; then
   echo "state that concurrent readers share. See DESIGN.md 'MVCC snapshots"
   echo "and copy-on-write storage'. Every engine and fleet commits through"
   echo "the WAL (in memory over a MemFs): see DESIGN.md 'Durability model'."
+  echo "A replica starts as a copy of its primary's files: see DESIGN.md"
+  echo "'Replication, failover, and fencing'."
   exit 1
 fi
 echo "lock audit passed"

@@ -18,49 +18,39 @@ Status ReplicaSet::Attach(const std::shared_ptr<Tvdp>& primary,
   // sync level demands it), not per record.
   durable.sync_on_commit = false;
   Fs* fs = durable.fs ? durable.fs : Fs::Default();
-
+  // Held through the swap: no Ship may drain a capture made after the cut
+  // into the replicas being replaced.
+  std::lock_guard<std::mutex> ship(ship_mutex_);
+  // The copy replaces whatever a previous incarnation (e.g. a demoted stale
+  // primary) left at each path: the live primary is the only state that
+  // survived the failover.
+  TVDP_ASSIGN_OR_RETURN(uint64_t offset, Cut(primary, replica_paths, fs));
   std::vector<Replica> replicas;
-  std::vector<storage::WalRecord> bootstrap = primary->SnapshotRecords();
   for (const std::string& path : replica_paths) {
-    // Wipe whatever a previous incarnation (e.g. a demoted stale primary)
-    // left at the path: the replica re-bootstraps from the live primary,
-    // which is the only state that survived the failover.
-    for (const char* suffix : {".snapshot", ".wal", ".broadcast"}) {
-      std::string file = path + suffix;
-      if (fs->Exists(file)) TVDP_RETURN_IF_ERROR(fs->Remove(file));
-    }
     TVDP_ASSIGN_OR_RETURN(Tvdp engine, Tvdp::Open(path, durable));
-    Replica rep;
-    rep.engine = std::make_shared<Tvdp>(std::move(engine));
-    TVDP_ASSIGN_OR_RETURN(size_t bootstrapped,
-                          rep.engine->ApplyReplicated(bootstrap));
-    TVDP_RETURN_IF_ERROR(rep.engine->durable_catalog()->Flush());
-    rep.live = true;
-    rep.applied = bootstrapped;
-    replicas.push_back(std::move(rep));
+    replicas.push_back({std::make_shared<Tvdp>(std::move(engine)), true, 0});
   }
-
-  uint64_t offset = primary->durable_catalog()->wal_size_bytes();
-  {
-    std::lock_guard<std::mutex> lock(members_mutex_);
-    replicas_ = std::move(replicas);
-    shipped_wal_offset_ = offset;
-    sync_ = sync;
-  }
-  InstallObserver(primary);
+  std::lock_guard<std::mutex> lock(members_mutex_);
+  replicas_ = std::move(replicas);
+  shipped_wal_offset_ = offset;
+  sync_ = sync;
   return Status::OK();
 }
 
-void ReplicaSet::InstallObserver(const std::shared_ptr<Tvdp>& primary) {
+Result<uint64_t> ReplicaSet::Cut(const std::shared_ptr<Tvdp>& primary,
+                                 const std::vector<std::string>& copy_paths,
+                                 Fs* fs) {
   // Weak handle: the observer must not keep a dropped (killed) primary
   // alive. It runs under the primary's writer lock, after the mutation
   // committed, so the WAL's size_bytes() is the record's post-append
   // boundary — the offset promotion tails from.
   std::weak_ptr<Tvdp> weak = primary;
-  primary->SetMutationObserver([this, weak](const storage::WalRecord& record) {
-    std::shared_ptr<Tvdp> p = weak.lock();
-    Capture(record, p ? p->durable_catalog()->wal_size_bytes() : 0);
-  });
+  return primary->CopyAndObserve(
+      [this, weak](const storage::WalRecord& record) {
+        std::shared_ptr<Tvdp> p = weak.lock();
+        Capture(record, p ? p->durable_catalog()->wal_size_bytes() : 0);
+      },
+      copy_paths, fs);
 }
 
 void ReplicaSet::Detach(const std::shared_ptr<Tvdp>& primary) {
@@ -68,12 +58,10 @@ void ReplicaSet::Detach(const std::shared_ptr<Tvdp>& primary) {
 }
 
 void ReplicaSet::Rebind(const std::shared_ptr<Tvdp>& primary) {
-  uint64_t offset = primary->durable_catalog()->wal_size_bytes();
-  {
-    std::lock_guard<std::mutex> lock(members_mutex_);
-    shipped_wal_offset_ = offset;
-  }
-  InstallObserver(primary);
+  // With nothing to copy the cut cannot fail.
+  const uint64_t offset = Cut(primary, {}, nullptr).value();
+  std::lock_guard<std::mutex> lock(members_mutex_);
+  shipped_wal_offset_ = offset;
 }
 
 Status ReplicaSet::FsyncReplicas() {

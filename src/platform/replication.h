@@ -42,13 +42,11 @@ struct ReplicationOptions {
   /// kAsync only: ship once this many captured records are waiting.
   size_t max_async_lag_records = 64;
 
-  /// Allow scatter-gather to fail a probe over to a replica when the
-  /// primary is down or its breaker is open.
-  bool serve_replica_reads = true;
-
   /// Round-robin clean (non-failover) read probes across primary and
   /// replicas for capacity. Off by default: replica reads under kAsync can
-  /// trail the primary by the lag bound.
+  /// trail the primary by the lag bound. Either way scatter-gather fails a
+  /// probe over to a replica when the primary is down or its breaker is
+  /// open.
   bool balance_replica_reads = false;
 };
 
@@ -65,11 +63,14 @@ class ReplicaSet {
  public:
   ReplicaSet(int shard, int64_t epoch);
 
-  /// Opens `replica_paths.size()` replica engines on `durable.fs` (any
-  /// stale state at a path is wiped first), bootstraps each from the
-  /// primary's current state, and installs the capture observer on the
-  /// primary. Replicas are opened with sync_on_commit off; `Ship` fsyncs
-  /// them explicitly when the sync level demands it.
+  /// Starts one replica per path on `durable.fs` as a copy of `primary`'s
+  /// files. Under the primary's writer lock it copies the snapshot and the
+  /// committed WAL to every path (replacing any stale state there) and
+  /// installs the capture observer: each mutation is then in the copies or
+  /// captured, and the shipped WAL offset is the copied length. The
+  /// replicas then open with `Tvdp::Open`, sync_on_commit off (`Ship`
+  /// fsyncs them when the sync level demands it), and replace the set;
+  /// their applied counters start at 0. The ship lock is held throughout.
   Status Attach(const std::shared_ptr<Tvdp>& primary,
                 const std::vector<std::string>& replica_paths,
                 storage::DurableCatalogOptions durable, SyncLevel sync);
@@ -79,9 +80,10 @@ class ReplicaSet {
   void Detach(const std::shared_ptr<Tvdp>& primary);
 
   /// Installs the capture observer on a new primary (the promotion flip)
-  /// without re-bootstrapping the remaining replicas, and re-anchors the
-  /// shipped WAL offset to the new primary's log. The epoch gate (already
-  /// raised by the fence) keeps any stragglers from the old primary out.
+  /// without copying anything to the remaining replicas, and re-anchors the
+  /// shipped WAL offset to the new primary's log length at the same cut.
+  /// The epoch gate (already raised by the fence) keeps any stragglers from
+  /// the old primary out.
   void Rebind(const std::shared_ptr<Tvdp>& primary);
 
   /// fsyncs every live replica's WAL — the promotion "ack" phase
@@ -154,8 +156,12 @@ class ReplicaSet {
     uint64_t applied = 0;
   };
 
-  /// Installs the capture observer on `primary`.
-  void InstallObserver(const std::shared_ptr<Tvdp>& primary);
+  /// Copies `primary`'s store to `copy_paths` on `fs` and installs the
+  /// capture observer in one writer critical section
+  /// (`Tvdp::CopyAndObserve`); returns the WAL offset the captures start
+  /// after.
+  Result<uint64_t> Cut(const std::shared_ptr<Tvdp>& primary,
+                       const std::vector<std::string>& copy_paths, Fs* fs);
 
   /// The observer body: appends (record, post-append WAL offset) to the
   /// channel unless the record's epoch is stale. Runs under the primary's
@@ -176,9 +182,10 @@ class ReplicaSet {
   int64_t epoch_;
   size_t rejected_stale_ = 0;
 
-  /// Serializes Ship / ApplyToLive so concurrent writers cannot interleave
-  /// halves of a batch into a replica. Taken before the other two mutexes,
-  /// never inside either.
+  /// Serializes Ship / ApplyToLive / Attach so concurrent writers cannot
+  /// interleave halves of a batch into a replica, and no capture made after
+  /// an attach's cut ships to the replicas it replaces. Taken before the
+  /// other two mutexes and the primary's writer lock, never inside them.
   mutable std::mutex ship_mutex_;
 
   /// Guards the replica table itself (handles, live flags, applied counts)

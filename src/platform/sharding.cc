@@ -209,8 +209,8 @@ Result<std::unique_ptr<ShardManager>> ShardManager::Create(
     // copy path whose engine is the primary (a crash between a promotion's
     // commit point and its in-memory flip resolves here — the promoted
     // replica's path opens as the primary, the stale old primary's path is
-    // wiped and re-bootstrapped as a replica below, so its forked history
-    // can never serve).
+    // overwritten with a copy of it as a replica below, so its forked
+    // history can never serve).
     if (i < static_cast<int>(mgr->boot_primaries_.size())) {
       slot.primary_index = mgr->boot_primaries_[static_cast<size_t>(i)];
       slot.epoch = mgr->boot_epochs_[static_cast<size_t>(i)];
@@ -1601,130 +1601,62 @@ Result<Json> ShardManager::RebalanceCellsInner(const std::vector<int>& cells,
   return report;
 }
 
-Result<int64_t> ShardManager::AnnotateImage(
-    int64_t image_id, const AnnotationRecord& annotation) {
+Result<ShardManager::ImageOwner> ShardManager::OwnerOf(
+    int64_t image_id) const {
   if (image_id < 0) {
     return Status::InvalidArgument("image id must be non-negative");
   }
   const int n = shard_count();
-  WriteTicket ticket(this);
-  int shard;
-  int64_t local;
-  std::shared_ptr<Tvdp> tvdp;
-  {
-    std::lock_guard<std::mutex> lock(slots_mutex_);
-    auto it = relocated_.find(image_id);
-    if (it != relocated_.end()) {
-      shard = it->second.first;
-      local = it->second.second;
-    } else {
-      shard = static_cast<int>(image_id % n);
-      local = image_id / n;
-    }
-    const Slot& slot = slots_[static_cast<size_t>(shard)];
-    if (!slot.tvdp) {
-      return Status::Unavailable("shard " + std::to_string(shard) +
-                                 " is down");
-    }
-    tvdp = slot.tvdp;
+  ImageOwner owner;
+  std::lock_guard<std::mutex> lock(slots_mutex_);
+  auto it = relocated_.find(image_id);
+  if (it != relocated_.end()) {
+    owner.shard = it->second.first;
+    owner.local = it->second.second;
+  } else {
+    owner.shard = static_cast<int>(image_id % n);
+    owner.local = image_id / n;
   }
+  owner.tvdp = slots_[static_cast<size_t>(owner.shard)].tvdp;
+  if (!owner.tvdp) {
+    return Status::Unavailable("shard " + std::to_string(owner.shard) +
+                               " is down");
+  }
+  return owner;
+}
+
+Result<int64_t> ShardManager::AnnotateImage(
+    int64_t image_id, const AnnotationRecord& annotation) {
+  WriteTicket ticket(this);
+  TVDP_ASSIGN_OR_RETURN(ImageOwner owner, OwnerOf(image_id));
   TVDP_ASSIGN_OR_RETURN(int64_t ann_local,
-                        tvdp->AnnotateImage(local, annotation));
-  ShipShard(shard);
-  return ann_local * n + shard;
+                        owner.tvdp->AnnotateImage(owner.local, annotation));
+  ShipShard(owner.shard);
+  return ann_local * shard_count() + owner.shard;
 }
 
 Status ShardManager::StoreFeature(int64_t image_id, const std::string& kind,
                                   const ml::FeatureVector& feature) {
-  if (image_id < 0) {
-    return Status::InvalidArgument("image id must be non-negative");
-  }
-  const int n = shard_count();
   WriteTicket ticket(this);
-  int shard;
-  int64_t local;
-  std::shared_ptr<Tvdp> tvdp;
-  {
-    std::lock_guard<std::mutex> lock(slots_mutex_);
-    auto it = relocated_.find(image_id);
-    if (it != relocated_.end()) {
-      shard = it->second.first;
-      local = it->second.second;
-    } else {
-      shard = static_cast<int>(image_id % n);
-      local = image_id / n;
-    }
-    const Slot& slot = slots_[static_cast<size_t>(shard)];
-    if (!slot.tvdp) {
-      return Status::Unavailable("shard " + std::to_string(shard) +
-                                 " is down");
-    }
-    tvdp = slot.tvdp;
-  }
-  TVDP_RETURN_IF_ERROR(tvdp->StoreFeature(local, kind, feature));
-  ShipShard(shard);
+  TVDP_ASSIGN_OR_RETURN(ImageOwner owner, OwnerOf(image_id));
+  TVDP_RETURN_IF_ERROR(owner.tvdp->StoreFeature(owner.local, kind, feature));
+  ShipShard(owner.shard);
   return Status::OK();
 }
 
 Result<ml::FeatureVector> ShardManager::GetFeature(
     int64_t image_id, const std::string& kind) const {
-  if (image_id < 0) {
-    return Status::InvalidArgument("image id must be non-negative");
-  }
-  const int n = shard_count();
   // Reads take a ticket too: the routing decision must not span a cutover,
   // or a read routed to the old owner could race the GC of the moved row.
   WriteTicket ticket(this);
-  int shard;
-  int64_t local;
-  std::shared_ptr<Tvdp> tvdp;
-  {
-    std::lock_guard<std::mutex> lock(slots_mutex_);
-    auto it = relocated_.find(image_id);
-    if (it != relocated_.end()) {
-      shard = it->second.first;
-      local = it->second.second;
-    } else {
-      shard = static_cast<int>(image_id % n);
-      local = image_id / n;
-    }
-    const Slot& slot = slots_[static_cast<size_t>(shard)];
-    if (!slot.tvdp) {
-      return Status::Unavailable("shard " + std::to_string(shard) +
-                                 " is down");
-    }
-    tvdp = slot.tvdp;
-  }
-  return tvdp->GetFeature(local, kind);
+  TVDP_ASSIGN_OR_RETURN(ImageOwner owner, OwnerOf(image_id));
+  return owner.tvdp->GetFeature(owner.local, kind);
 }
 
 Result<Json> ShardManager::ImageRowJson(int64_t image_id) const {
-  if (image_id < 0) {
-    return Status::InvalidArgument("image id must be non-negative");
-  }
-  const int n = shard_count();
   WriteTicket ticket(this);
-  int shard;
-  int64_t local;
-  std::shared_ptr<Tvdp> tvdp;
-  {
-    std::lock_guard<std::mutex> lock(slots_mutex_);
-    auto it = relocated_.find(image_id);
-    if (it != relocated_.end()) {
-      shard = it->second.first;
-      local = it->second.second;
-    } else {
-      shard = static_cast<int>(image_id % n);
-      local = image_id / n;
-    }
-    const Slot& slot = slots_[static_cast<size_t>(shard)];
-    if (!slot.tvdp) {
-      return Status::Unavailable("shard " + std::to_string(shard) +
-                                 " is down");
-    }
-    tvdp = slot.tvdp;
-  }
-  TVDP_ASSIGN_OR_RETURN(Json row, tvdp->ImageRowJson(local));
+  TVDP_ASSIGN_OR_RETURN(ImageOwner owner, OwnerOf(image_id));
+  TVDP_ASSIGN_OR_RETURN(Json row, owner.tvdp->ImageRowJson(owner.local));
   row["id"] = Json(image_id);
   return row;
 }
@@ -1910,7 +1842,7 @@ Result<ShardManager::ShardedQueryResult> ShardManager::ExecuteQuery(
       Slot& slot = slots_[i];
       std::vector<std::shared_ptr<Tvdp>> replicas;
       int preferred = -1;
-      if (slot.replicas && options_.replication.serve_replica_reads) {
+      if (slot.replicas) {
         const int rc = slot.replicas->replica_count();
         for (int r = 0; r < rc; ++r) {
           std::shared_ptr<Tvdp> handle = slot.replicas->replica(r);
@@ -2121,7 +2053,8 @@ Status ShardManager::RecoverShardInner(int shard) {
   // broadcast_mutex_ before slots_mutex_, never the reverse).
   WriteTicket ticket(this);
   std::lock_guard<std::mutex> block(broadcast_mutex_);
-  std::string path;
+  std::shared_ptr<ReplicaSet> reps;
+  int primary_index = 0;
   {
     std::lock_guard<std::mutex> lock(slots_mutex_);
     Slot& slot = slots_[static_cast<size_t>(shard)];
@@ -2129,15 +2062,25 @@ Status ShardManager::RecoverShardInner(int shard) {
       return Status::FailedPrecondition("shard " + std::to_string(shard) +
                                         " is not down");
     }
-    path = CopyPath(shard, slot.primary_index);
+    reps = slot.replicas;
+    primary_index = slot.primary_index;
   }
   // Reopen outside slots_mutex_ — WAL replay is disk-bound and must not
   // stall query dispatch. The slot stays down until the swap below, so
   // no other caller can race the handle.
-  TVDP_ASSIGN_OR_RETURN(Tvdp t, Tvdp::Open(path, options_.durable));
+  TVDP_ASSIGN_OR_RETURN(
+      Tvdp t, Tvdp::Open(CopyPath(shard, primary_index), options_.durable));
   auto revived_primary = std::make_shared<Tvdp>(std::move(t));
-  std::shared_ptr<ReplicaSet> reps;
-  int primary_index = 0;
+  if (reps) {
+    // The replicas may have drifted past the recovered primary (they kept
+    // the shipped records the crash destroyed locally under kAsync) or
+    // behind it; rather than diff, start them again as copies of the
+    // revived primary, the only state that is now authoritative. Until the
+    // swap below no writer can commit on it, so none is acked before the
+    // cut.
+    TVDP_RETURN_IF_ERROR(
+        AttachReplicas(shard, revived_primary, primary_index, reps));
+  }
   {
     std::lock_guard<std::mutex> lock(slots_mutex_);
     Slot& slot = slots_[static_cast<size_t>(shard)];
@@ -2152,16 +2095,6 @@ Status ShardManager::RecoverShardInner(int shard) {
     }
     next_broadcast_id_ =
         std::max(next_broadcast_id_, dc->max_broadcast_id() + 1);
-    reps = slot.replicas;
-    primary_index = slot.primary_index;
-  }
-  if (reps) {
-    // The replicas may have drifted past the recovered primary (they kept
-    // the shipped records the crash destroyed locally under kAsync) or
-    // behind it; rather than diff, wipe and re-bootstrap them from the
-    // revived primary — the only state that is now authoritative.
-    TVDP_RETURN_IF_ERROR(
-        AttachReplicas(shard, revived_primary, primary_index, reps));
   }
   // Resolve whatever a crash left pending now that this shard is back,
   // then surface (without undoing the recovery) any remaining divergence.

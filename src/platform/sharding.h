@@ -235,8 +235,8 @@ class ShardManager {
   /// pending; the recovered shard stays up even when that pass reports
   /// divergence (kDataLoss). The shard's circuit breaker is left to
   /// re-admit it through its half-open probe. A replicated shard's
-  /// replicas are re-attached (wiped and re-bootstrapped) from the
-  /// recovered primary.
+  /// replicas start again as copies of the recovered primary's files,
+  /// attached before the primary takes writes.
   Status RecoverShard(int shard);
 
   // --- Replication & failover (DESIGN.md "Replication, failover, and
@@ -428,6 +428,20 @@ class ShardManager {
 
   double NowMs() const;
 
+  /// Where a global image id lives: its shard, its local id there and the
+  /// shard's engine handle.
+  struct ImageOwner {
+    int shard = 0;
+    int64_t local = 0;
+    std::shared_ptr<Tvdp> tvdp;
+  };
+
+  /// Routes `image_id` through `relocated_`, else `id % n` / `id / n`.
+  /// kInvalidArgument for a negative id, kUnavailable while the owning
+  /// shard is down. Callers hold a WriteTicket, so the route cannot span a
+  /// cutover.
+  Result<ImageOwner> OwnerOf(int64_t image_id) const;
+
   /// The shard's prune region: its cells' union expanded by the largest
   /// FOV radius ingested into it. Caller holds slots_mutex_.
   geo::BoundingBox ExpandedRegionLocked(int shard) const;
@@ -463,10 +477,10 @@ class ShardManager {
   /// (r+1)-th copy index skipping `primary_index`.
   int ReplicaCopyIndex(int primary_index, int r) const;
 
-  /// Opens + attaches `shard`'s replicas around `primary` (wiping any
-  /// stale state at the replica paths and bootstrapping from the
-  /// primary). `primary_index` names the copy path the primary serves
-  /// from. Caller must not hold slots_mutex_.
+  /// Attaches `shard`'s replicas to `primary` (`ReplicaSet::Attach`: each
+  /// replica path gets a copy of the primary's files, replacing any stale
+  /// state, and opens from it). `primary_index` names the copy path the
+  /// primary serves from. Caller must not hold slots_mutex_.
   Status AttachReplicas(int shard, const std::shared_ptr<Tvdp>& primary,
                         int primary_index,
                         const std::shared_ptr<ReplicaSet>& replicas);

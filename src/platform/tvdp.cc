@@ -602,6 +602,18 @@ void Tvdp::SetMutationObserver(
   mutation_observer_ = std::move(observer);
 }
 
+Result<uint64_t> Tvdp::CopyAndObserve(
+    std::function<void(const storage::WalRecord&)> observer,
+    const std::vector<std::string>& copy_paths, Fs* fs) {
+  std::unique_lock lock(engine_->mutex());
+  uint64_t cut = durable_->wal_size_bytes();
+  for (const std::string& path : copy_paths) {
+    TVDP_ASSIGN_OR_RETURN(cut, durable_->CopyTo(path, fs));
+  }
+  mutation_observer_ = std::move(observer);
+  return cut;
+}
+
 Result<size_t> Tvdp::ApplyReplicated(
     const std::vector<storage::WalRecord>& records) {
   // Writer: the whole batch publishes as one snapshot version, mirroring
@@ -645,38 +657,6 @@ Result<size_t> Tvdp::ApplyReplicated(
     TVDP_RETURN_IF_ERROR(RebuildClassificationsUnlocked());
   }
   return applied;
-}
-
-std::vector<storage::WalRecord> Tvdp::SnapshotRecords() const {
-  query::SnapshotRef snap = engine_->PinSnapshot();
-  int64_t epoch = epoch_.load(std::memory_order_acquire);
-  // Registry tables first so a replica applying the stream rebuilds its
-  // classification map from complete rows.
-  static constexpr const char* kOrder[] = {
-      tables::kImageContentClassification,
-      tables::kImageContentClassificationTypes,
-      tables::kImages,
-      tables::kImageFov,
-      tables::kImageSceneLocation,
-      tables::kImageManualKeywords,
-      tables::kImageVisualFeatures,
-      tables::kImageContentAnnotation};
-  std::vector<storage::WalRecord> out;
-  for (const char* tname : kOrder) {
-    const storage::Table* t = snap->FindTable(tname);
-    if (!t) continue;
-    t->ForEach([&](const Row& r) {
-      storage::WalRecord rec;
-      rec.type = storage::WalRecordType::kInsert;
-      rec.table = tname;
-      rec.row_id = r[0].AsInt64();
-      rec.epoch = epoch;
-      rec.values.assign(r.begin() + 1, r.end());
-      out.push_back(std::move(rec));
-      return true;
-    });
-  }
-  return out;
 }
 
 void Tvdp::Fence(int64_t fenced_at_epoch) {

@@ -244,19 +244,23 @@ class Tvdp {
   void SetMutationObserver(
       std::function<void(const storage::WalRecord&)> observer);
 
-  /// Applies a batch of shipped primary records to this (replica) engine:
-  /// forced-id inserts and deletes, committed through the replica's own
-  /// WAL, with query indexes and the classification registry kept
-  /// in sync. Already-applied records (id present) are skipped, so
-  /// re-shipping after a retry or a WAL tail replay is safe. Returns the
-  /// number of records newly applied.
+  /// The replica cut: in one writer critical section, copies the committed
+  /// store to each of `copy_paths` on `fs` (`DurableCatalog::CopyTo`) and
+  /// installs `observer`, so every mutation is either in the copies or
+  /// observed. Returns the WAL length at the cut, after which the observed
+  /// stream starts.
+  Result<uint64_t> CopyAndObserve(
+      std::function<void(const storage::WalRecord&)> observer,
+      const std::vector<std::string>& copy_paths, Fs* fs);
+
+  /// Applies a batch of shipped primary records (or a promotion's WAL
+  /// tail) to this replica engine: forced-id inserts and deletes,
+  /// committed through the replica's own WAL, with query indexes and the
+  /// classification registry kept in sync. Already-applied records (id
+  /// present) are skipped, so re-shipping after a retry or a WAL tail
+  /// replay is safe. Returns the number of records newly applied.
   Result<size_t> ApplyReplicated(
       const std::vector<storage::WalRecord>& records);
-
-  /// Full-state dump as replayable kInsert records (schema order, ids
-  /// included) — bootstraps a fresh replica from a primary that predates
-  /// replication being enabled.
-  std::vector<storage::WalRecord> SnapshotRecords() const;
 
   /// Fencing: a fenced engine rejects every later mutation, and a commit in
   /// flight finishes before the fence returns. A stale primary is fenced
@@ -305,9 +309,9 @@ class Tvdp {
       classifications_;
   // Replication state. The observer is guarded by the engine writer lock
   // (mutations already hold it exclusively when it is consulted); the
-  // fencing state is atomic so lock-free readers (fenced()/epoch(),
-  // SnapshotRecords) observe it without the lock; the refusal a fenced
-  // engine returns is written and read under the writer lock.
+  // fencing state is atomic so lock-free readers (fenced()/epoch()) observe
+  // it without the lock; the refusal a fenced engine returns is written and
+  // read under the writer lock.
   std::function<void(const storage::WalRecord&)> mutation_observer_;
   std::atomic<int64_t> epoch_{0};
   std::atomic<bool> fenced_{false};

@@ -108,9 +108,8 @@ ProbeOutcome ProbeWithHedging(ShardTarget* shard, const HybridQuery& q,
     out.status = Status::OK();  // the primary attempts start clean
   }
 
-  RetryPolicy policy = options.probe_retry;
-  if (!options.hedging) policy.max_attempts = 1;
-  if (policy.max_attempts < 1) policy.max_attempts = 1;
+  const RetryPolicy policy{/*max_attempts=*/options.hedging ? 2 : 1,
+                           /*initial_backoff_ms=*/0, /*max_backoff_ms=*/0};
   RetryState retry(policy,
                    options.seed ^ (0x9e3779b97f4a7c15ULL *
                                    static_cast<uint64_t>(shard->id() + 1)));
@@ -392,17 +391,15 @@ Result<ShardedResult> ScatterGather::Execute(
   } else {
     for (size_t i = 0; i < n; ++i) {
       ShardReport& report = result.coverage.reports[i];
-      if (options.prune_by_region && RegionDisjoint(q, shards[i]->region())) {
+      if (RegionDisjoint(q, shards[i]->region())) {
         report.outcome = ShardOutcome::kPruned;
         continue;
       }
-      if (options.prune_by_estimate || options.shed_low_selectivity) {
-        ShardEstimate est = shards[i]->Estimate(q);
-        report.estimated_rows = est.rows;
-        if (options.prune_by_estimate && est.provably_empty) {
-          report.outcome = ShardOutcome::kPruned;
-          continue;
-        }
+      ShardEstimate est = shards[i]->Estimate(q);
+      report.estimated_rows = est.rows;
+      if (est.provably_empty) {
+        report.outcome = ShardOutcome::kPruned;
+        continue;
       }
       eligible.push_back(i);
     }

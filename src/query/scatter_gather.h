@@ -166,22 +166,12 @@ struct ScatterGatherOptions {
   /// Must be in (0, 1]. Ignored when the request carries no deadline.
   double per_shard_deadline_fraction = 0.5;
 
-  /// Hedged-probe policy: per-shard attempts and backoff between them.
-  /// Classification uses IsRetryableStatus, so semantic errors surface
-  /// immediately while crashes / stragglers get a second chance.
-  RetryPolicy probe_retry{/*max_attempts=*/2, /*initial_backoff_ms=*/0,
-                          /*max_backoff_ms=*/0};
-
+  /// Hedged probes: each shard gets two attempts with no backoff between
+  /// them. Classification uses IsRetryableStatus, so semantic errors
+  /// surface immediately while crashes / stragglers get a second chance.
   /// When false, each shard gets exactly one attempt spanning its whole
   /// per-shard budget (the "naive" bench configuration).
   bool hedging = true;
-
-  /// Skip shards whose region is disjoint from the query's spatial
-  /// predicate (exact — routing guarantees no hits outside the region).
-  bool prune_by_region = true;
-
-  /// Skip shards whose estimate is provably empty (see ShardEstimate).
-  bool prune_by_estimate = true;
 
   /// Degraded mode: shed the lowest-estimated-selectivity shards before
   /// probing (the admission controller sheds shards before queries).

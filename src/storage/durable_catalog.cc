@@ -5,6 +5,7 @@
 
 #include "common/crc32.h"
 #include "common/logging.h"
+#include "common/retry.h"
 #include "storage/serializer.h"
 
 namespace tvdp::storage {
@@ -27,6 +28,9 @@ void AppendFramed(const WalRecord& record, std::vector<uint8_t>& out) {
 
 Result<DurableCatalog> DurableCatalog::Open(const std::string& base_path,
                                             DurableCatalogOptions options) {
+  if (base_path.empty()) {
+    return Status::InvalidArgument("durable store path must not be empty");
+  }
   DurableCatalog dc;
   dc.fs_ = options.fs ? options.fs : Fs::Default();
   dc.options_ = options;
@@ -176,7 +180,8 @@ Result<RowId> DurableCatalog::Insert(const std::string& table, Row row) {
     // bounded jittered backoff inside this insert; if the budget runs out
     // the next threshold cross tries again.
     Status compacted = RunWithRetries(
-        options_.compaction_retry,
+        RetryPolicy{/*max_attempts=*/3, /*initial_backoff_ms=*/1,
+                    /*max_backoff_ms=*/16},
         /*seed=*/0x7e7u + static_cast<uint64_t>(checkpoints_taken_), [&] {
           Status s = CheckpointLocked();
           if (!s.ok()) {
@@ -261,6 +266,25 @@ Status DurableCatalog::CheckpointLocked() {
 Status DurableCatalog::Flush() {
   std::unique_lock<std::shared_mutex> lock(*mutex_);
   return wal_->Sync();
+}
+
+Result<uint64_t> DurableCatalog::CopyTo(const std::string& base_path,
+                                        Fs* fs) const {
+  if (base_path.empty()) {
+    return Status::InvalidArgument("durable store path must not be empty");
+  }
+  std::shared_lock<std::shared_mutex> lock(*mutex_);
+  TVDP_ASSIGN_OR_RETURN(std::vector<uint8_t> snapshot,
+                        fs_->ReadAll(snapshot_path_));
+  TVDP_ASSIGN_OR_RETURN(std::vector<uint8_t> wal, fs_->ReadAll(wal_path_));
+  // Bytes past the committed length are a failed append's torn tail.
+  const uint64_t committed = wal_->size_bytes();
+  if (wal.size() > committed) wal.resize(committed);
+  TVDP_RETURN_IF_ERROR(AtomicWriteFile(*fs, base_path + ".snapshot", snapshot));
+  TVDP_RETURN_IF_ERROR(AtomicWriteFile(*fs, base_path + ".wal", wal));
+  const std::string broadcast = base_path + ".broadcast";
+  if (fs->Exists(broadcast)) TVDP_RETURN_IF_ERROR(fs->Remove(broadcast));
+  return committed;
 }
 
 void DurableCatalog::set_sync_on_commit(bool sync) {

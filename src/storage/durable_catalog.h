@@ -11,7 +11,6 @@
 
 #include "common/file.h"
 #include "common/result.h"
-#include "common/retry.h"
 #include "storage/catalog.h"
 #include "storage/wal.h"
 
@@ -25,16 +24,10 @@ struct DurableCatalogOptions {
   bool sync_on_commit = true;
 
   /// Once the WAL grows past this many bytes, the next insert triggers a
-  /// compaction: snapshot the catalog and reset the log.
+  /// compaction: snapshot the catalog and reset the log. Transient IO
+  /// errors are retried (three attempts, 1-16 ms jittered backoff) inside
+  /// that insert; if they all fail, the next threshold cross tries again.
   uint64_t compaction_threshold_bytes = 4u << 20;
-
-  /// Retry budget for the best-effort WAL compaction that Insert triggers
-  /// at the threshold crossing. Transient IO errors (a busy disk, a full
-  /// page cache flush) are retried with jittered backoff inside the same
-  /// insert; if the budget runs out the compaction waits for the next
-  /// threshold cross, exactly as before.
-  RetryPolicy compaction_retry{/*max_attempts=*/3, /*initial_backoff_ms=*/1,
-                               /*max_backoff_ms=*/16};
 
   /// Filesystem to operate on; nullptr means `Fs::Default()`. Tests pass a
   /// `FaultInjectingFs` here.
@@ -90,7 +83,8 @@ struct PendingBroadcast {
 /// records onto the new snapshot — which recovery tolerates by id dedup.
 class DurableCatalog {
  public:
-  /// Opens (or creates) the store rooted at `base_path`.
+  /// Opens (or creates) the store rooted at `base_path`. An empty path is
+  /// kInvalidArgument: it would name `.snapshot` and `.wal` themselves.
   static Result<DurableCatalog> Open(const std::string& base_path,
                                      DurableCatalogOptions options = {});
 
@@ -142,6 +136,12 @@ class DurableCatalog {
 
   /// fsyncs outstanding WAL appends (useful with sync_on_commit=false).
   Status Flush();
+
+  /// Copies the committed store to a new one rooted at `base_path` on `fs`:
+  /// the snapshot and the first `wal_size_bytes()` of the WAL, each written
+  /// with `AtomicWriteFile`, and removes a stale `.broadcast` there. Returns
+  /// the copied WAL length. An empty `base_path` is kInvalidArgument.
+  Result<uint64_t> CopyTo(const std::string& base_path, Fs* fs) const;
 
   /// Switches `sync_on_commit` for every later commit — a promoted replica
   /// takes on its fleet's setting without a reopen.

@@ -447,6 +447,24 @@ TEST_F(DurabilityTest, DurableCatalogPersistsAcrossReopen) {
   EXPECT_EQ(*next, 11);
 }
 
+TEST_F(DurabilityTest, EmptyBasePathIsRefusedAndCreatesNoFile) {
+  // An empty base path names the files `.snapshot`, `.wal` and
+  // `.broadcast` themselves, so every store opened that way would share
+  // them.
+  storage::DurableCatalogOptions options;
+  options.fs = &mem_fs_;
+  auto dc = storage::DurableCatalog::Open("", options);
+  ASSERT_FALSE(dc.ok());
+  EXPECT_EQ(dc.status().code(), StatusCode::kInvalidArgument);
+  auto tvdp = platform::Tvdp::Open("", options);
+  ASSERT_FALSE(tvdp.ok());
+  EXPECT_EQ(tvdp.status().code(), StatusCode::kInvalidArgument);
+  for (const char* file :
+       {".snapshot", ".snapshot.tmp", ".wal", ".broadcast"}) {
+    EXPECT_FALSE(mem_fs_.Exists(file)) << file;
+  }
+}
+
 TEST_F(DurabilityTest, PowerCutSweepRecoversExactlyTheCommittedPrefix) {
   for (const auto& [name, base_fs] : BaseFileSystems()) {
     SCOPED_TRACE(name);

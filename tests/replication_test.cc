@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <set>
@@ -207,9 +208,12 @@ TEST(ReplicationUnitTest, StaleEpochCapturesAreRejected) {
 }
 
 TEST(ReplicationUnitTest, AppliedCountersSkipAlreadyAppliedRecords) {
-  auto created = Tvdp::Create();
-  ASSERT_TRUE(created.ok());
-  auto primary = std::make_shared<Tvdp>(std::move(*created));
+  MemFs primary_fs;
+  storage::DurableCatalogOptions primary_store;
+  primary_store.fs = &primary_fs;
+  auto opened = Tvdp::Open("primary", primary_store);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  auto primary = std::make_shared<Tvdp>(std::move(*opened));
   ImageRecord rec;
   rec.uri = "pre";
   rec.location = CellZeroPoint();
@@ -220,20 +224,84 @@ TEST(ReplicationUnitTest, AppliedCountersSkipAlreadyAppliedRecords) {
   store.fs = &fs;
   ReplicaSet set(/*shard=*/0, /*epoch=*/0);
   ASSERT_TRUE(set.Attach(primary, {"replica"}, store, SyncLevel::kSync).ok());
-  const uint64_t bootstrapped = set.applied_records(0);
-  EXPECT_GT(bootstrapped, 0u);
+  // The replica starts as a copy of the primary's files: it holds the
+  // image, and it has applied nothing since the attach.
+  ASSERT_NE(set.replica(0), nullptr);
+  EXPECT_EQ(set.replica(0)->image_count(), 1u);
+  EXPECT_EQ(set.applied_records(0), 0u);
 
-  // Re-applying the bootstrap snapshot (the WAL-tail overlap a promotion
-  // produces) applies nothing new, so the caught-up counter the election
-  // compares must not move — it counts applied records, not shipped ones.
-  ASSERT_TRUE(set.ApplyToLive(primary->SnapshotRecords()).ok());
-  EXPECT_EQ(set.applied_records(0), bootstrapped);
+  // Re-applying the primary's log, which the copy already holds (the
+  // WAL-tail overlap a promotion produces), applies nothing new, so the
+  // caught-up counter the election compares must not move — it counts
+  // applied records, not shipped ones.
+  auto log = storage::Wal::TailFrom(&primary_fs, "primary.wal", 0);
+  ASSERT_TRUE(log.ok()) << log.status();
+  ASSERT_FALSE(log->records.empty());
+  ASSERT_TRUE(set.ApplyToLive(log->records).ok());
+  EXPECT_EQ(set.applied_records(0), 0u);
 
   // Genuinely new records still advance it.
   rec.uri = "fresh";
   ASSERT_TRUE(primary->IngestImage(rec).ok());
   ASSERT_TRUE(set.Ship().ok());
-  EXPECT_GT(set.applied_records(0), bootstrapped);
+  EXPECT_GT(set.applied_records(0), 0u);
+  EXPECT_EQ(set.replica(0)->image_count(), 2u);
+}
+
+TEST(ReplicationUnitTest, AttachWorkDoesNotGrowWithTheStore) {
+  // A replica starts as a copy of two files, so attaching one makes the
+  // same writes at any store size. The primary keeps its own MemFs: the
+  // copy must land on the replicas' Fs, or the replica opens empty.
+  auto attach_work = [](int images) {
+    MemFs primary_fs;
+    storage::DurableCatalogOptions primary_store;
+    primary_store.fs = &primary_fs;
+    auto opened = Tvdp::Open("primary", primary_store);
+    EXPECT_TRUE(opened.ok()) << opened.status();
+    auto primary = std::make_shared<Tvdp>(std::move(*opened));
+    for (int i = 0; i < images; ++i) {
+      ImageRecord rec;
+      rec.uri = "img" + std::to_string(i);
+      rec.location = CellZeroPoint();
+      rec.keywords = {"city"};
+      EXPECT_TRUE(primary->IngestImage(rec).ok());
+    }
+    MemFs mem;
+    FaultInjectingFs fs(&mem);
+    storage::DurableCatalogOptions store;
+    store.fs = &fs;
+    ReplicaSet set(/*shard=*/0, /*epoch=*/0);
+    EXPECT_TRUE(set.Attach(primary, {"replica"}, store, SyncLevel::kSync).ok());
+    std::shared_ptr<Tvdp> replica = set.replica(0);
+    EXPECT_NE(replica, nullptr);
+    if (replica) {
+      EXPECT_EQ(replica->image_count(), static_cast<size_t>(images));
+    }
+    return std::make_pair(fs.append_calls(), fs.sync_calls());
+  };
+  const auto small = attach_work(100);
+  const auto large = attach_work(400);
+  EXPECT_EQ(small, large);
+  // One append and one fsync for each copied file: the snapshot and the WAL.
+  EXPECT_LE(small.first, 2);
+  EXPECT_LE(small.second, 2);
+}
+
+TEST(ReplicationUnitTest, AttachRefusesAnEmptyReplicaPath) {
+  auto created = Tvdp::Create();
+  ASSERT_TRUE(created.ok());
+  auto primary = std::make_shared<Tvdp>(std::move(*created));
+  MemFs fs;
+  storage::DurableCatalogOptions store;
+  store.fs = &fs;
+  ReplicaSet set(/*shard=*/0, /*epoch=*/0);
+  EXPECT_EQ(set.Attach(primary, {""}, store, SyncLevel::kSync).code(),
+            StatusCode::kInvalidArgument);
+  for (const char* file :
+       {".snapshot", ".snapshot.tmp", ".wal", ".wal.tmp", ".broadcast"}) {
+    EXPECT_FALSE(fs.Exists(file)) << file;
+  }
+  EXPECT_EQ(set.replica_count(), 0);
 }
 
 TEST(ReplicationUnitTest, IngestSplitAcrossBatchesIndexesLikeThePrimary) {
@@ -616,6 +684,60 @@ TEST(ReplicationFailoverTest, PromotedReplicaFsyncsItsCommits) {
   ASSERT_TRUE(mgr.IngestImage(rec).ok());
   EXPECT_GE(fs.sync_calls() - syncs, 1)
       << "the promoted primary acked a write without an fsync";
+}
+
+TEST(ReplicationFailoverTest, RecoverShardUnderWritersLosesNoAckedWrite) {
+  // RecoverShard re-attaches the replicas while writers keep ingesting
+  // into the recovering shard. Under kSync every write acked once the
+  // shard is back is on its replica, so the promotion a later kill makes
+  // serves all of them.
+  auto m = ShardManager::Create(ReplicatedOptions(2, 1, 2, 2));
+  ASSERT_TRUE(m.ok()) << m.status();
+  ShardManager& mgr = **m;
+  constexpr int kSeeded = 200;
+  for (int i = 0; i < kSeeded; ++i) {
+    ImageRecord rec;
+    rec.uri = "seed" + std::to_string(i);
+    rec.location = CellZeroPoint();
+    ASSERT_TRUE(mgr.IngestImage(rec).ok());
+  }
+
+  std::atomic<int> acked{0};
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    SCOPED_TRACE("cycle " + std::to_string(cycle));
+    // No replica is live, so the kill promotes nothing: the shard is down.
+    ASSERT_TRUE(mgr.KillReplica(0, 0).ok());
+    ASSERT_TRUE(mgr.KillShard(0).ok());
+    ASSERT_FALSE(mgr.shard_alive(0));
+
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < 3; ++w) {
+      writers.emplace_back([&, w] {
+        for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+          ImageRecord rec;
+          rec.uri = "c" + std::to_string(cycle) + "w" + std::to_string(w) +
+                    "_" + std::to_string(i);
+          rec.location = CellZeroPoint();
+          if (mgr.IngestImage(rec).ok()) ++acked;
+          // The pause keeps the writers from monopolizing the engine
+          // mutex that the attach needs.
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+      });
+    }
+    EXPECT_TRUE(mgr.RecoverShard(0).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    stop.store(true);
+    for (auto& t : writers) t.join();
+
+    // The kill promotes the replica the recovery attached.
+    ASSERT_TRUE(mgr.KillShard(0).ok());
+    ASSERT_TRUE(mgr.shard_alive(0));
+    ASSERT_NE(mgr.shard(0), nullptr);
+    EXPECT_EQ(mgr.shard(0)->image_count(),
+              static_cast<size_t>(kSeeded + acked.load()));
+  }
 }
 
 TEST(ReplicationFailoverTest, BreakerTripRetriesVetoedPromotion) {
